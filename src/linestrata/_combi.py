@@ -1,9 +1,13 @@
 """Small combinatorial generators shared across modules."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, TypeVar
+from itertools import product
+from math import factorial, prod
+from typing import Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
+
+Vector = tuple[int, ...]
 
 
 def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
@@ -29,32 +33,45 @@ def set_partitions_at_least(items: Sequence[T], min_blocks: int) -> Iterator[lis
             yield part
 
 
-def subsets(items: Sequence[T]) -> Iterator[list[T]]:
-    """All subsets, smallest first by size then position."""
-    items = list(items)
-    n = len(items)
-    for size in range(n + 1):
-        yield from _subsets_of_size(items, size)
+def vector_partitions(v: Vector) -> Iterator[tuple[tuple[Vector, ...], int]]:
+    """Partitions of a count vector, each with its labelled multiplicity.
+
+    Take v[i] distinguishable marks of colour i.  Every set partition of
+    those marks has a multiset of block count vectors; this yields each such
+    multiset once, as a non-increasing tuple of nonzero blocks, paired with
+    the number of set partitions that have it:
+
+        prod_i v_i! / (prod_blocks prod_i b_i! * prod_distinct blocks mult!)
+
+    The multiplicities sum to the Bell number of sum(v).  The zero vector
+    has the single empty partition, with multiplicity 1.  Callers cache
+    what they compute from the partitions, so the partitions themselves are
+    not cached.
+    """
+    v = tuple(v)
+    numerator = prod(factorial(c) for c in v)
+    for blocks in _blocks_at_most(v, v):
+        denominator = prod(factorial(c) for b in blocks for c in b)
+        run = 1
+        for prev, cur in zip(blocks, blocks[1:]):
+            run = run + 1 if cur == prev else 1
+            denominator *= run
+        mult, rem = divmod(numerator, denominator)
+        if rem:
+            raise ValueError(
+                f"multiplicity of {blocks} in {v} is not an integer"
+            )
+        yield blocks, mult
 
 
-def _subsets_of_size(items: list[T], size: int) -> Iterator[list[T]]:
-    if size == 0:
-        yield []
+def _blocks_at_most(v: Vector, bound: Vector) -> Iterator[tuple[Vector, ...]]:
+    """Non-increasing tuples of nonzero blocks summing to v, each <= bound."""
+    if not any(v):
+        yield ()
         return
-    for i in range(len(items) - size + 1):
-        for tail in _subsets_of_size(items[i + 1 :], size - 1):
-            yield [items[i]] + tail
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for block in product(*(range(c, -1, -1) for c in v)):
+        if block > bound or not any(block):
+            continue
+        rest = tuple(c - b for c, b in zip(v, block))
+        for tail in _blocks_at_most(rest, block):
+            yield (block,) + tail

@@ -18,13 +18,13 @@ Both representations have a canonical JSON form and deterministic printing
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 __all__ = [
     "UniPoly",
     "MultiPoly",
     "Monomial",
-    "uni_arith",
     "config_poly",
     "quotient_config_poly",
     "multi_eval",
@@ -47,6 +47,18 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
+
+    @classmethod
+    def _trusted(cls, cs: list[int]) -> "UniPoly":
+        """Wrap a list of Python ints without coercing them.
+
+        Takes ownership of cs and trims its trailing zeros in place.
+        """
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = object.__new__(cls)
+        out.coeffs = tuple(cs)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -97,7 +109,7 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return UniPoly._trusted(out)
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
@@ -109,12 +121,14 @@ class UniPoly:
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # VPPs are even polynomials, so about half of each operand is zero
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._trusted(out)
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -184,17 +198,7 @@ class UniPoly:
         return cls(data["coeffs"])
 
 
-def uni_arith(p: UniPoly, q: UniPoly, op: str) -> UniPoly:
-    """Combine two univariate polynomials; op is "add", "sub" or "mul"."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
-
-
+@lru_cache(maxsize=None)
 def config_poly(ell: int, k: int) -> UniPoly:
     """prod_{i=0}^{ell-1} (x^2 - (k + i)).
 
@@ -210,6 +214,7 @@ def config_poly(ell: int, k: int) -> UniPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def quotient_config_poly(m: int) -> UniPoly:
     """prod_{j=2}^{m-1} (x^2 - j); equals 1 for m <= 2.
 

@@ -24,14 +24,22 @@ root screen:
   dividing out one factor of x^2 (the division is checked to be exact);
 * a fat part carrying no marks at all still degenerates the shared base and
   contributes the bare seam polynomial of the part.
+
+Marks are labelled, but every weight above depends only on how many marks of
+each line a group holds.  So the sums over set partitions of marks run over
+partitions of count vectors instead
+(:func:`~linestrata._combi.vector_partitions`), each weighted by the number
+of labelled set partitions it stands for: the exponential formula for
+labelled structures.  Only the sum over shared line partitions stays
+labelled, since the lines of a screen are not interchangeable there.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Iterable, Sequence
 
-from ._combi import set_partitions
+from ._combi import Vector, set_partitions, vector_partitions
 from .exact_poly import UniPoly, config_poly, quotient_config_poly
 
 __all__ = [
@@ -42,8 +50,6 @@ __all__ = [
     "vpp_by_strata",
     "stratum_vpp",
 ]
-
-Vector = tuple[int, ...]
 
 # Flag for cross-checking the closed-form shortcut for single-mark factors in
 # tests; leave True in normal use.
@@ -63,12 +69,12 @@ def vpp_seam(r: int) -> UniPoly:
     if r <= 2:
         return UniPoly.one()
     total = UniPoly.zero()
-    for parts in set_partitions(list(range(r))):
-        if len(parts) < 2:
+    for blocks, mult in vector_partitions((r,)):
+        if len(blocks) < 2:
             continue
-        term = quotient_config_poly(len(parts))
-        for block in parts:
-            term = term * vpp_seam(len(block))
+        term = UniPoly.constant(mult) * quotient_config_poly(len(blocks))
+        for (size,) in blocks:
+            term = term * vpp_seam(size)
         total = total + term
     return total
 
@@ -82,18 +88,6 @@ def _validate_vector(v: Sequence[int], r: int) -> Vector:
     return out
 
 
-def _marks_of(v: Vector) -> list[tuple[int, int]]:
-    """Labeled marks of a count vector: (line, index) pairs, lines 1-based."""
-    return [(i + 1, j + 1) for i, c in enumerate(v) for j in range(c)]
-
-
-def _count_vector(marks: Iterable[tuple[int, int]], r: int) -> Vector:
-    out = [0] * r
-    for line, _ in marks:
-        out[line - 1] += 1
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _screen_distribution(v: Vector) -> tuple[tuple[tuple[Vector, ...], UniPoly], ...]:
     """Weighted multisets of screens a single factor can present to the root.
@@ -103,25 +97,13 @@ def _screen_distribution(v: Vector) -> tuple[tuple[tuple[Vector, ...], UniPoly],
     groups at distinct heights (weight quotient_config_poly(#groups)), each
     group recursively presenting its own screens.
     """
-    r = len(v)
     out: dict[tuple[Vector, ...], UniPoly] = {(v,): UniPoly.one()}
-    marks = _marks_of(v)
-    for parts in set_partitions(marks):
-        if len(parts) < 2:
+    for blocks, mult in vector_partitions(v):
+        if len(blocks) < 2:
             continue
-        weight = quotient_config_poly(len(parts))
-        combos: list[tuple[tuple[Vector, ...], UniPoly]] = [((), UniPoly.one())]
-        for block in parts:
-            sub = _screen_distribution(_count_vector(block, r))
-            combos = [
-                (screens + s2, w * w2)
-                for screens, w in combos
-                for s2, w2 in sub
-            ]
-        for screens, w in combos:
-            key = tuple(sorted(screens))
-            prev = out.get(key, UniPoly.zero())
-            out[key] = prev + weight * w
+        weight = UniPoly.constant(mult) * quotient_config_poly(len(blocks))
+        for screens, w in _pool([_screen_distribution(b) for b in blocks]).items():
+            out[screens] = out.get(screens, UniPoly.zero()) + weight * w
     return tuple(sorted(out.items(), key=lambda kv: kv[0]))
 
 
@@ -134,10 +116,10 @@ def _point_factor(c: int) -> UniPoly:
     collapsed moduli p_m of its bubble.
     """
     total = UniPoly.zero()
-    for parts in set_partitions(list(range(c))):
-        term = config_poly(len(parts), 0)
-        for block in parts:
-            term = term * vpp_seam(len(block))
+    for blocks, mult in vector_partitions((c,)):
+        term = UniPoly.constant(mult) * config_poly(len(blocks), 0)
+        for (size,) in blocks:
+            term = term * vpp_seam(size)
         total = total + term
     return total
 
@@ -150,47 +132,71 @@ def _fat_part_factor(part: tuple[int, ...], screens: tuple[Vector, ...]) -> UniP
     form a fiber product over the part's own collision moduli.
     """
     m = len(part)
-    per_screen: list[list[tuple[UniPoly, tuple[Vector, ...]]]] = []
-    for s in screens:
-        marks = [(line, j + 1) for line in part for j in range(s[line - 1])]
-        options: list[tuple[UniPoly, tuple[Vector, ...]]] = []
-        for parts_of_marks in set_partitions(marks):
-            blocks = tuple(
-                tuple(
-                    sum(1 for line, _ in block if line == p_line)
-                    for p_line in part
-                )
-                for block in parts_of_marks
-            )
-            options.append((config_poly(len(parts_of_marks), 0), blocks))
-        per_screen.append(options)
+    options = [_sub_screens(tuple(s[line - 1] for line in part)) for s in screens]
     total = UniPoly.zero()
-    for combo in product(*per_screen):
-        weight = UniPoly.one()
-        pooled: list[Vector] = []
-        for w, blocks in combo:
-            weight = weight * w
-            pooled.extend(blocks)
-        total = total + weight * _fiber(m, tuple(sorted(pooled)))
+    for pooled, weight in _pool(options).items():
+        total = total + weight * _fiber(m, pooled)
     return total
+
+
+@lru_cache(maxsize=None)
+def _sub_screens(sub: Vector) -> tuple[tuple[tuple[Vector, ...], UniPoly], ...]:
+    """Weighted ways for one screen to split its marks into sub-screens."""
+    return tuple(
+        (blocks, UniPoly.constant(mult) * config_poly(len(blocks), 0))
+        for blocks, mult in vector_partitions(sub)
+    )
+
+
+def _pool(
+    options: Sequence[Sequence[tuple[tuple[Vector, ...], UniPoly]]]
+) -> dict[tuple[Vector, ...], UniPoly]:
+    """Sum over one weighted choice of vectors per entry of nonempty options.
+
+    A choice weighs the product of its entries' weights.  Choices that pool
+    to the same sorted multiset of vectors are added up, so the caller
+    multiplies each multiset's weight only once.
+    """
+    first, *rest = options
+    combos = list(first)
+    for choices in rest:
+        # extend each partial choice in turn, so partial products are shared
+        combos = [
+            (vectors + vs, weight * w)
+            for vectors, weight in combos
+            for vs, w in choices
+        ]
+    pooled: dict[tuple[Vector, ...], UniPoly] = {}
+    for vectors, weight in combos:
+        key = tuple(sorted(vectors))
+        pooled[key] = pooled.get(key, UniPoly.zero()) + weight
+    return pooled
+
+
+def _part_factor(part: tuple[int, ...], screens: tuple[Vector, ...]) -> UniPoly:
+    """Contribution of one part of the shared line partition."""
+    if len(part) > 1:
+        return _fat_part_factor(part, screens)
+    out = UniPoly.one()
+    for s in screens:
+        out = out * _point_factor(s[part[0] - 1])
+    return out
 
 
 @lru_cache(maxsize=None)
 def _all_root(r: int, screens: tuple[Vector, ...]) -> UniPoly:
     """Sum over shared line partitions for a fixed pooled screen multiset."""
+    # a part's factor does not depend on the rest of the partition
+    factors: dict[tuple[int, ...], UniPoly] = {}
     total = UniPoly.zero()
     for parts in set_partitions(list(range(1, r + 1))):
         if len(parts) < 2:
             continue
-        prod = UniPoly.one()
-        for part in parts:
-            part_t = tuple(sorted(part))
-            if len(part_t) == 1:
-                line = part_t[0]
-                for s in screens:
-                    prod = prod * _point_factor(s[line - 1])
-            else:
-                prod = prod * _fat_part_factor(part_t, screens)
+        keys = [tuple(part) for part in parts]
+        for key in keys:
+            if key not in factors:
+                factors[key] = _part_factor(key, screens)
+        prod = reduce(mul, (factors[key] for key in keys))
         # one x^2 of screen reparametrizations divided out per screen; the
         # division must be exact
         total = total + quotient_config_poly(len(parts)) * prod.shift_down(
@@ -212,16 +218,7 @@ def _fiber(r: int, factors: tuple[Vector, ...]) -> UniPoly:
         # a single-mark factor is isomorphic to the base, so the fiber
         # product collapses to the base itself
         return vpp_seam(r)
-    dists = [_screen_distribution(f) for f in factors]
-    pooled: dict[tuple[Vector, ...], UniPoly] = {}
-    for combo in product(*dists):
-        screens: list[Vector] = []
-        weight = UniPoly.one()
-        for s, w in combo:
-            screens.extend(s)
-            weight = weight * w
-        key = tuple(sorted(screens))
-        pooled[key] = pooled.get(key, UniPoly.zero()) + weight
+    pooled = _pool([_screen_distribution(f) for f in factors])
     total = UniPoly.zero()
     for screens, weight in sorted(pooled.items(), key=lambda kv: kv[0]):
         total = total + weight * _all_root(r, screens)

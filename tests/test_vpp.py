@@ -4,11 +4,27 @@ The d=2 and d=3 tables below were frozen from the reference values before
 the recursion was implemented; they are the oracle for everything else.
 """
 
+import hashlib
+import importlib
 import random
+from math import comb
 
+import pytest
+
+from linestrata.cli import run
 from linestrata.exact_poly import UniPoly
 from linestrata.tree_pairs import enumerate_tree_pairs
-from linestrata.vpp import stratum_vpp, vpp, vpp_by_strata, vpp_seam, vpp_table
+from linestrata.vpp import (
+    stratum_vpp,
+    vpp,
+    vpp_by_strata,
+    vpp_fiber_product,
+    vpp_seam,
+    vpp_table,
+)
+
+# the package attribute linestrata.vpp is the function, so fetch the module
+vpp_module = importlib.import_module("linestrata.vpp")
 
 # dimension-2 types (coeffs ascending)
 TABLE_D2 = {
@@ -120,3 +136,81 @@ def test_open_stratum_contribution():
         p = stratum_vpp(tops[0])
         assert p.degree == 2 * d
         assert p[2 * d] == 1
+
+
+def _keel_polys(n_max: int) -> dict[int, UniPoly]:
+    """P(M_{0,n}) for 3 <= n <= n_max by Keel's recursion, in x with q = x^2.
+
+    P_3 = 1, P_4 = 1 + q and
+    P_{n+1} = (1 + q) P_n + (q / 2) sum_{j=2}^{n-2} C(n, j) P_{j+1} P_{n-j+1}.
+    """
+    q = UniPoly.monomial(1, 2)
+    one = UniPoly.one()
+    p = {3: one, 4: one + q}
+    for n in range(4, n_max):
+        twice = UniPoly.zero()
+        for j in range(2, n - 1):
+            twice = twice + UniPoly.constant(comb(n, j)) * p[j + 1] * p[n - j + 1]
+        assert all(c % 2 == 0 for c in twice.coeffs)
+        half = UniPoly([c // 2 for c in twice.coeffs])
+        p[n + 1] = (one + q) * p[n] + q * half
+    return p
+
+
+def test_vpp_seam_matches_keel_recursion():
+    keel = _keel_polys(11)
+    for r in range(2, 11):
+        assert vpp_seam(r) == keel[r + 1], r
+
+
+# SHA-256 of the pretty `vpp-table d` output, frozen from the labelled
+# set-partition recursion that the count-vector one replaced
+TABLE_DIGESTS = {
+    4: "e517bc1cc3e1b5f71dd58df393b919e60d223aaa678f82c22fb6d0c5711df429",
+    5: "c46401ade9f54a031deda017923f6f4fa794eea3478738d0b3afe653e5136895",
+    6: "dfd50cd9c3869aff9f3c0d7f7f304253b94a1fe168419a6d9502a4a0e5bc0f71",
+    7: "cf9d23e8d9f95e82427f48c51a07c670a2004eadb1b20ab7c8c554d382e204e9",
+}
+
+
+@pytest.mark.parametrize("d", sorted(TABLE_DIGESTS))
+def test_vpp_table_digest(capsys, d):
+    assert run(["vpp-table", str(d)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[d]
+
+
+def test_vpp_fiber_product():
+    for n in [(3,), (2, 1), (0, 2), (1, 1, 2)]:
+        assert vpp_fiber_product(len(n), [n]) == vpp(n), n
+    for r in range(1, 6):
+        assert vpp_fiber_product(r, []) == vpp_seam(r)
+    # the factors' order does not matter
+    assert vpp_fiber_product(2, [(2, 0), (1, 1)]) == vpp_fiber_product(
+        2, [(1, 1), (2, 0)]
+    )
+    with pytest.raises(ValueError, match="carries no marks"):
+        vpp_fiber_product(2, [(1, 1), (0, 0)])
+    with pytest.raises(ValueError, match="negative"):
+        vpp_fiber_product(2, [(2, -1)])
+    with pytest.raises(ValueError, match="length"):
+        vpp_fiber_product(2, [(1, 1, 1)])
+    with pytest.raises(ValueError):
+        vpp_fiber_product(0, [])
+
+
+def _clear_vpp_caches():
+    for name in ("_fiber", "_screen_distribution", "_all_root", "_point_factor", "vpp_seam"):
+        getattr(vpp_module, name).cache_clear()
+
+
+def test_basis_shortcut_matches_full_recursion(monkeypatch):
+    _clear_vpp_caches()
+    try:
+        with_shortcut = [vpp_table(d) for d in range(6)]
+        _clear_vpp_caches()
+        monkeypatch.setattr(vpp_module, "_USE_BASIS_SHORTCUT", False)
+        without = [vpp_table(d) for d in range(6)]
+    finally:
+        _clear_vpp_caches()
+    assert without == with_shortcut
