@@ -413,9 +413,8 @@ def transition_check(
         except ValueError:
             skipped += 1
             continue
-        assert tuple(reglued.positions[reglued.tree.root]) == tuple(target), (
-            "transition round trip failed"
-        )
+        if tuple(reglued.positions[reglued.tree.root]) != tuple(target):
+            raise AssertionError("transition round trip failed")
         verified += 1
     return TransitionReport(samples=samples, verified=verified, skipped=skipped)
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Sequence
 
 from .charts import (
@@ -31,7 +31,7 @@ from .local_models import (
     lattice_span_equal,
     monoid_saturation_witness,
 )
-from .tree_pairs import enumerate_tree_pairs, f_vector, stratum_dimension
+from .tree_pairs import TreePair, enumerate_tree_pairs, f_vector, stratum_dimension
 from .trees import StableTree
 from .vpp import vpp, vpp_table
 
@@ -51,6 +51,16 @@ def _vector(text: str) -> tuple[int, ...]:
             f"expected nonnegative mark counts, got {text!r}"
         )
     return parts
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
 
 
 def _emit_json(payload: object) -> None:
@@ -171,24 +181,26 @@ def _cmd_vpp_table(args: argparse.Namespace) -> int:
 
 
 def _check_one_model(
-    packed: tuple[tuple[int, ...], int, int, int]
-) -> tuple[int, str | None]:
-    """Worker: all local-model checks for the index-th 0-dimensional
-    stratum of type n.  Returns (index, failure message or None)."""
-    n, index, trials, seed = packed
-    models = [
-        tp for tp in enumerate_tree_pairs(n) if stratum_dimension(tp) == 0
-    ]
-    tp = models[index]
+    packed: tuple[TreePair, int, int, int]
+) -> tuple[int, str | None, int, int]:
+    """Worker: all local-model checks for one 0-dimensional stratum, the
+    index-th of its type.  Returns (index, failure message or None, number
+    of coordinates, number of generators)."""
+    tp, index, trials, seed = packed
     model = canonical_generators(tp)
+    shape = (model.n_coords, len(model.generators))
     try:
         _incidence(model)
     except ValueError as exc:
-        return index, f"incidence pattern violated: {exc}"
+        return index, f"incidence pattern violated: {exc}", *shape
     if not lattice_span_equal(model, coherence_generators(tp)):
-        return index, "canonical generators do not span the coherence lattice"
+        return (
+            index,
+            "canonical generators do not span the coherence lattice",
+            *shape,
+        )
     if not lattice_is_saturated(model):
-        return index, "lattice is not saturated"
+        return index, "lattice is not saturated", *shape
     rng = random.Random(seed * 1_000_003 + index)
     rows = model.generators
     width = model.n_coords
@@ -200,8 +212,14 @@ def _check_one_model(
         try:
             monoid_saturation_witness(model, tuple(base), rng.randint(2, 4))
         except (ValueError, AssertionError) as exc:
-            return index, f"witness failed on {tuple(base)}: {exc}"
-    return index, None
+            return index, f"witness failed on {tuple(base)}: {exc}", *shape
+    return index, None, *shape
+
+
+def _worker_count(jobs: int, cpus: int, models: int) -> int:
+    """Processes for checking `models` models: the requested --jobs,
+    clamped to the CPU count and to the number of models."""
+    return min(jobs, cpus, models)
 
 
 def _cmd_check_local_model(args: argparse.Namespace) -> int:
@@ -218,21 +236,22 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
     if not models:
         print("no 0-dimensional strata")
         return 0
-    jobs = [(n, i, args.trials, args.seed) for i in range(len(models))]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    jobs = [(tp, i, args.trials, args.seed) for i, tp in enumerate(models)]
+    workers = _worker_count(args.jobs, os.cpu_count() or 1, len(models))
+    if workers > 1:
+        import multiprocessing  # here, to keep it off the start-up path
+
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
             outcomes = pool.map(_check_one_model, jobs)
     else:
         outcomes = [_check_one_model(job) for job in jobs]
-    outcomes.sort()
     failures = 0
     lines = []
-    for index, message in outcomes:
-        model = canonical_generators(models[index])
+    for index, message, n_coords, n_generators in outcomes:
         if message is None:
             lines.append(
-                f"model {index}: ok ({model.n_coords} coords, "
-                f"{len(model.generators)} generators)"
+                f"model {index}: ok ({n_coords} coords, "
+                f"{n_generators} generators)"
             )
         else:
             failures += 1
@@ -245,7 +264,7 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
                 "failures": failures,
                 "results": [
                     {"model": i, "ok": m is None, "message": m}
-                    for i, m in outcomes
+                    for i, m, _, _ in outcomes
                 ],
             }
         )
@@ -380,7 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20, help="witness trials per model")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="parallel workers, at most one per CPU and per model (default 1)",
+    )
     p.set_defaults(func=_cmd_check_local_model)
 
     p = sub.add_parser("chart-eval", help="glue a curve at given coordinates")

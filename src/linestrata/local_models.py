@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
-
 from .tree_pairs import (
     Component,
     TreePair,
@@ -285,6 +282,11 @@ def lattice_span_equal(first, second) -> bool:
     Accepts LatticeModel instances or plain iterables of integer vectors.
     Decided by comparing column-style Hermite normal forms.
     """
+    # sympy is imported here, not at module top, so that importing the
+    # package (and every CLI command that runs no lattice check) stays cheap
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
     rows_a = [r for r in _generator_rows(first) if any(r)]
     rows_b = [r for r in _generator_rows(second) if any(r)]
     if rows_a and rows_b and len(rows_a[0]) != len(rows_b[0]):
@@ -299,6 +301,9 @@ def lattice_span_equal(first, second) -> bool:
 def lattice_is_saturated(model_or_generators) -> bool:
     """Whether the generated sublattice is saturated in Z^n (the quotient is
     torsion-free): every nonzero invariant factor must be 1."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
     rows = [r for r in _generator_rows(model_or_generators) if any(r)]
     if not rows:
         return True
@@ -441,7 +446,8 @@ def solve_difference_constraints(system: DiffConstraintSystem) -> SolveResult:
         solution[j] = min(caps) if caps else 0
 
     final = tuple(int(v) for v in solution)  # type: ignore[arg-type]
-    assert system.satisfied_by(final), "solver produced an invalid assignment"
+    if not system.satisfied_by(final):
+        raise AssertionError("solver produced an invalid assignment")
     return SolveResult(final)
 
 
@@ -583,7 +589,8 @@ def monoid_saturation_witness(
         for b, gen in zip(coeffs, model.generators):
             for col, entry in enumerate(gen):
                 shifted[col] += b * entry
-        assert all(v >= 0 for v in shifted), "witness fails re-substitution"
+        if any(v < 0 for v in shifted):
+            raise AssertionError("witness fails re-substitution")
         return coeffs, None
 
     coeffs, reason = attempt(x)

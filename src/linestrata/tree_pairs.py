@@ -575,11 +575,10 @@ def enumerate_tree_pairs(n: Sequence[int]) -> list[TreePair]:
 
 def f_vector(n: Sequence[int]) -> list[int]:
     """Stratum counts by dimension, starting at dimension 0."""
-    pairs = enumerate_tree_pairs(n)
-    top_dim = max(stratum_dimension(tp) for tp in pairs)
-    out = [0] * (top_dim + 1)
-    for tp in pairs:
-        out[stratum_dimension(tp)] += 1
+    dims = [stratum_dimension(tp) for tp in enumerate_tree_pairs(n)]
+    out = [0] * (max(dims) + 1)
+    for d in dims:
+        out[d] += 1
     return out
 
 

@@ -1,10 +1,29 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from linestrata.cli import run
+import linestrata
+import linestrata.cli
+from linestrata.cli import _worker_count, run
+
+SRC = str(Path(linestrata.__file__).resolve().parents[1])
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package importable."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
 
 
 def out_of(capsys):
@@ -80,6 +99,9 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as info:
         run(["no-such-command"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        run(["check-local-model", "2,1", "--jobs", "0"])
+    assert info.value.code == 2
 
 
 def test_check_local_model(capsys):
@@ -97,6 +119,60 @@ def test_check_local_model_json(capsys):
     assert payload["failures"] == 0
     assert payload["models"] == len(payload["results"])
     assert all(entry["ok"] for entry in payload["results"])
+
+
+def test_check_local_model_enumerates_once(monkeypatch, capsys):
+    calls = []
+    enumerate_tree_pairs = linestrata.cli.enumerate_tree_pairs
+
+    def counting(n):
+        calls.append(n)
+        return enumerate_tree_pairs(n)
+
+    monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", counting)
+    assert run(["check-local-model", "2,1", "--trials", "3"]) == 0
+    assert out_of(capsys)[0].endswith("checked 4 models: all ok\n")
+    assert calls == [(2, 1)]
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_check_local_model_jobs_do_not_change_output(fmt, capsys):
+    argv = ["check-local-model", "2,1", "--trials", "3", "--format", fmt]
+    assert run(argv + ["--jobs", "1"]) == 0
+    serial, _ = out_of(capsys)
+    assert run(argv + ["--jobs", "2"]) == 0
+    parallel, _ = out_of(capsys)
+    assert parallel == serial
+
+
+def test_worker_count_is_clamped():
+    assert _worker_count(1, 8, 84) == 1
+    assert _worker_count(4, 8, 84) == 4
+    assert _worker_count(64, 2, 84) == 2  # no more processes than CPUs
+    assert _worker_count(8, 16, 3) == 3  # no more processes than models
+
+
+def test_check_survives_optimize_flag():
+    # python -O strips assert statements; the solver's postcondition must
+    # still fail, and the CLI must still report it as a failed model
+    script = (
+        "import sys\n"
+        "from linestrata import cli, local_models\n"
+        "if not sys.flags.optimize: sys.exit('not running under -O')\n"
+        "local_models.DiffConstraintSystem.satisfied_by = lambda self, p: False\n"
+        "sys.exit(cli.run(['check-local-model', '2,1', '--trials', '5']))\n"
+    )
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 1, result.stderr
+    assert "solver produced an invalid assignment" in result.stdout
+
+
+def test_import_does_not_load_sympy():
+    result = run_python(
+        "-c", "import sys, linestrata.cli; print('sympy' in sys.modules)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 CHART_SPEC = {
