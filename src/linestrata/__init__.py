@@ -5,6 +5,11 @@ stable trees and tree pairs index the strata, integer lattice models
 describe neighborhoods of the deepest strata, gluing charts move between
 strata, and virtual Poincare polynomials are assembled either by a fiber
 recursion or stratum by stratum.
+
+``linestrata.vpp`` is the function :func:`~linestrata.vpp.vpp`, which
+shadows the submodule of the same name, so ``import linestrata.vpp as m``
+binds the function.  ``from linestrata.vpp import name`` still reads the
+submodule, and the module itself is ``sys.modules["linestrata.vpp"]``.
 """
 
 from .exact_poly import (
@@ -17,20 +22,17 @@ from .exact_poly import (
 )
 from .trees import (
     StableTree,
-    bracketing,
     enumerate_stable_trees,
     glue_tree,
     poset_leq_tree,
     top_tree,
     tree_dimension,
-    tree_from_bracketing,
 )
 from .tree_pairs import (
     Component,
     Mark,
     Seam,
     TreePair,
-    enumerate_stable_root_data,
     enumerate_tree_pairs,
     enumerate_two_bracketings_bruteforce,
     f_vector,
@@ -82,8 +84,6 @@ __all__ = [
     "monomial_content_split",
     "StableTree",
     "top_tree",
-    "bracketing",
-    "tree_from_bracketing",
     "enumerate_stable_trees",
     "poset_leq_tree",
     "tree_dimension",
@@ -97,7 +97,6 @@ __all__ = [
     "top_tree_pair",
     "enumerate_tree_pairs",
     "f_vector",
-    "enumerate_stable_root_data",
     "tree_pair_to_two_bracketing",
     "two_bracketing_to_tree_pair",
     "enumerate_two_bracketings_bruteforce",

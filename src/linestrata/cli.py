@@ -90,6 +90,16 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _exceeds_guard(label: str, size: int, max_size: int | None, guard: int) -> bool:
+    """Report and return True when size is over --max-size, or over the
+    default guard when --max-size is not given."""
+    bound = guard if max_size is None else max_size
+    if size <= bound:
+        return False
+    _fail(f"{label} {size} exceeds the size bound {bound}; raise --max-size to proceed")
+    return True
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -97,39 +107,28 @@ def _fail(message: str) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    bound = args.max_size if args.max_size is not None else ENUM_GUARD
-    if sum(n) + len(n) > bound:
-        return _fail(
-            f"|n| + r = {sum(n) + len(n)} exceeds the size bound {bound}; "
-            "raise --max-size to proceed"
-        )
-    pairs = enumerate_tree_pairs(n)
-    by_dim: dict[int, int] = {}
-    for tp in pairs:
-        d = stratum_dimension(tp)
-        by_dim[d] = by_dim.get(d, 0) + 1
+    if _exceeds_guard("|n| + r =", sum(n) + len(n), args.max_size, ENUM_GUARD):
+        return 1
+    counts = f_vector(n)
+    by_dim = [(d, c) for d, c in enumerate(counts) if c]
     if args.format == "json":
         _emit_json(
             {
                 "n": list(n),
-                "total": len(pairs),
-                "by_dimension": {str(d): c for d, c in sorted(by_dim.items())},
+                "total": sum(counts),
+                "by_dimension": {str(d): c for d, c in by_dim},
             }
         )
     else:
-        dims = ", ".join(f"{d}:{c}" for d, c in sorted(by_dim.items()))
-        print(f"{len(pairs)} strata: dims [{dims}]")
+        dims = ", ".join(f"{d}:{c}" for d, c in by_dim)
+        print(f"{sum(counts)} strata: dims [{dims}]")
     return 0
 
 
 def _cmd_fvector(args: argparse.Namespace) -> int:
     n = args.n
-    bound = args.max_size if args.max_size is not None else ENUM_GUARD
-    if sum(n) + len(n) > bound:
-        return _fail(
-            f"|n| + r = {sum(n) + len(n)} exceeds the size bound {bound}; "
-            "raise --max-size to proceed"
-        )
+    if _exceeds_guard("|n| + r =", sum(n) + len(n), args.max_size, ENUM_GUARD):
+        return 1
     counts = f_vector(n)
     if args.format == "json":
         _emit_json({"n": list(n), "f_vector": list(counts)})
@@ -141,12 +140,8 @@ def _cmd_fvector(args: argparse.Namespace) -> int:
 def _cmd_vpp(args: argparse.Namespace) -> int:
     n = args.n
     dimension = sum(n) + len(n) - 3
-    bound = args.max_size if args.max_size is not None else VPP_GUARD
-    if dimension > bound:
-        return _fail(
-            f"dimension {dimension} exceeds the size bound {bound}; "
-            "raise --max-size to proceed"
-        )
+    if _exceeds_guard("dimension", dimension, args.max_size, VPP_GUARD):
+        return 1
     poly = vpp(n)
     if args.format == "json":
         _emit_json({"n": list(n), "vpp": poly.to_json()})
@@ -157,12 +152,8 @@ def _cmd_vpp(args: argparse.Namespace) -> int:
 
 def _cmd_vpp_table(args: argparse.Namespace) -> int:
     d = args.dimension
-    bound = args.max_size if args.max_size is not None else VPP_GUARD
-    if d > bound:
-        return _fail(
-            f"dimension {d} exceeds the size bound {bound}; "
-            "raise --max-size to proceed"
-        )
+    if _exceeds_guard("dimension", d, args.max_size, VPP_GUARD):
+        return 1
     rows = vpp_table(d)
     if args.format == "json":
         _emit_json(
@@ -224,12 +215,8 @@ def _worker_count(jobs: int, cpus: int, models: int) -> int:
 
 def _cmd_check_local_model(args: argparse.Namespace) -> int:
     n = args.n
-    bound = args.max_size if args.max_size is not None else ENUM_GUARD
-    if sum(n) + len(n) > bound:
-        return _fail(
-            f"|n| + r = {sum(n) + len(n)} exceeds the size bound {bound}; "
-            "raise --max-size to proceed"
-        )
+    if _exceeds_guard("|n| + r =", sum(n) + len(n), args.max_size, ENUM_GUARD):
+        return 1
     models = [
         tp for tp in enumerate_tree_pairs(n) if stratum_dimension(tp) == 0
     ]

@@ -24,9 +24,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from ._combi import set_partitions
+from ._combi import set_partitions, set_partitions_at_least
 from .trees import Bracket, StableTree, enumerate_stable_trees, top_tree
 
 __all__ = [
@@ -34,14 +36,11 @@ __all__ = [
     "Seam",
     "Component",
     "TreePair",
-    "FiberSpec",
-    "RootDatum",
     "validate_tree_pair",
     "stratum_dimension",
     "top_tree_pair",
     "enumerate_tree_pairs",
     "f_vector",
-    "enumerate_stable_root_data",
     "tree_pair_to_two_bracketing",
     "two_bracketing_to_tree_pair",
     "enumerate_two_bracketings_bruteforce",
@@ -106,7 +105,9 @@ class Component:
 def _child_sort_key(child: Component | Mark):
     if isinstance(child, Mark):
         return (0, child.line, child.index)
-    return (1, min(child.subtree_marks()))
+    # a screen without marks is malformed; sort it anyway, so that
+    # validate_tree_pair is what reports it
+    return (1, min(child.subtree_marks(), default=()))
 
 
 def _sorted_children(children: Iterable[Component | Mark]) -> tuple[Component | Mark, ...]:
@@ -149,29 +150,14 @@ class TreePair:
     def multi_components(self) -> list[Component]:
         return [c for c in self.components() if c.is_multi]
 
-    def canonical_key(self):
-        def canon(comp: Component):
-            return (
-                tuple(sorted(comp.lines)),
-                tuple(
-                    sorted(
-                        (
-                            tuple(sorted(seam.lines)),
-                            tuple(
-                                sorted(
-                                    (0, child.line, child.index)
-                                    if isinstance(child, Mark)
-                                    else (1, canon(child))
-                                    for child in seam.children
-                                )
-                            ),
-                        )
-                        for seam in comp.seams
-                    )
-                ),
-            )
+    def canonical_key(self) -> str:
+        """The stratum's canonical form: its JSON with sorted keys.
 
-        return (self.n, self.seam_tree.brackets, canon(self.root))
+        Every constructor, :meth:`from_json` included, stores a seam's
+        children in ``_child_sort_key`` order and a screen's seams by
+        smallest line, so two equal strata give the same string.
+        """
+        return json.dumps(self.to_json(), sort_keys=True)
 
     # -- serialization ------------------------------------------------
 
@@ -201,6 +187,9 @@ class TreePair:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TreePair":
+        """Parse and validate a stratum; children and seams may come in any
+        order and are stored in canonical order."""
+
         def parse_child(obj: Mapping) -> Component | Mark:
             if "mark" in obj:
                 line, index = obj["mark"]
@@ -208,14 +197,17 @@ class TreePair:
             return parse_comp(obj)
 
         def parse_comp(obj: Mapping) -> Component:
-            seams = tuple(
-                Seam(
-                    frozenset(int(x) for x in seam["lines"]),
-                    tuple(parse_child(c) for c in seam["children"]),
-                )
-                for seam in obj["seams"]
+            seams = sorted(
+                (
+                    Seam(
+                        frozenset(int(x) for x in seam["lines"]),
+                        _sorted_children(parse_child(c) for c in seam["children"]),
+                    )
+                    for seam in obj["seams"]
+                ),
+                key=lambda seam: sorted(seam.lines),
             )
-            return Component(frozenset(int(x) for x in obj["lines"]), seams)
+            return Component(frozenset(int(x) for x in obj["lines"]), tuple(seams))
 
         n = tuple(int(c) for c in data["n"])
         tree = StableTree.from_nested(data["seam_tree"], len(n))
@@ -223,11 +215,8 @@ class TreePair:
         validate_tree_pair(tp)
         return tp
 
-    def sort_key(self) -> tuple:
-        return (
-            stratum_dimension(self),
-            json.dumps(self.to_json(), sort_keys=True),
-        )
+    def sort_key(self) -> tuple[int, str]:
+        return (stratum_dimension(self), self.canonical_key())
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +348,31 @@ def top_tree_pair(n: Sequence[int]) -> TreePair:
 # ---------------------------------------------------------------------------
 
 
+def _line_children(
+    line: int, marks: tuple[Mark, ...], min_clusters: int
+) -> Iterator[tuple[Component | Mark, ...]]:
+    """Every sorted seam child tuple over the marks of one line: the marks
+    split into at least min_clusters clusters, a lone mark staying a mark and
+    a larger cluster becoming a single-line screen."""
+    for clusters in set_partitions_at_least(marks, min_clusters):
+        options = [
+            [block[0]] if len(block) == 1 else _line_bubbles(line, tuple(block), False)
+            for block in clusters
+        ]
+        for combo in product(*options):
+            yield _sorted_children(combo)
+
+
 def _line_bubbles(line: int, marks: tuple[Mark, ...], top: bool) -> list[Component]:
     """All single-line screens over the given marks."""
+    lines = frozenset({line})
     if top and len(marks) == 1:
-        return [Component(frozenset({line}), (Seam(frozenset({line}), marks),))]
-    out: list[Component] = []
-    for parts in set_partitions(list(marks)):
-        if len(parts) < 2:
-            continue
-        options: list[list[Component | Mark]] = []
-        for block in parts:
-            if len(block) == 1:
-                options.append([block[0]])
-            else:
-                options.append(list(_line_bubbles(line, tuple(block), False)))
-        for combo in product(*options):
-            out.append(
-                Component(
-                    frozenset({line}),
-                    (Seam(frozenset({line}), _sorted_children(combo)),),
-                )
-            )
-    return out
+        return [Component(lines, (Seam(lines, marks),))]
+    # a screen needs two objects, so one cluster of all the marks is no screen
+    return [
+        Component(lines, (Seam(lines, children),))
+        for children in _line_children(line, marks, 2)
+    ]
 
 
 # A screen plan: per singleton part, the finished seam children; per fat
@@ -399,19 +391,13 @@ def _screen_plans(
         part_marks = tuple(m for m in marks if m.line in part)
         if len(part) == 1:
             line = part[0]
-            opts: list[tuple[Component | Mark, ...]] = []
-            for clusters in set_partitions(list(part_marks)):
-                block_opts: list[list[Component | Mark]] = []
-                for block in clusters:
-                    if len(block) == 1:
-                        block_opts.append([block[0]])
-                    else:
-                        block_opts.append(
-                            list(_line_bubbles(line, tuple(block), False))
-                        )
-                for combo in product(*block_opts):
-                    opts.append(_sorted_children(combo))
-            per_part_options.append([("single", line, children) for children in opts])
+            # no minimum: a line without marks keeps its one empty seam
+            per_part_options.append(
+                [
+                    ("single", line, children)
+                    for children in _line_children(line, part_marks, 0)
+                ]
+            )
         else:
             opts2: list[tuple[tuple[Mark, ...], ...]] = []
             for groups in set_partitions(list(part_marks)):
@@ -558,18 +544,20 @@ def enumerate_tree_pairs(n: Sequence[int]) -> list[TreePair]:
         raise ValueError("the mark vector must carry at least one mark")
     lines = tuple(range(1, r + 1))
     marks = tuple(Mark(i, j) for i in lines for j in range(1, nt[i - 1] + 1))
-    out: list[TreePair] = []
+    keyed = []
     for brackets, roots in _enum_fiber(lines, (marks,)):
         tp = TreePair(nt, StableTree(r, brackets), roots[0])
-        out.append(tp)
-    out.sort(key=TreePair.sort_key)
-    seen = set()
-    for tp in out:
-        key = tp.canonical_key()
-        if key in seen:
+        keyed.append((tp.sort_key(), tp))
+    keyed.sort(key=itemgetter(0))
+    out: list[TreePair] = []
+    previous = None
+    for key, tp in keyed:
+        # equal strata have equal keys, so after the sort they are adjacent
+        if key == previous:
             raise AssertionError("duplicate stratum produced by enumeration")
-        seen.add(key)
+        previous = key
         validate_tree_pair(tp)
+        out.append(tp)
     return out
 
 
@@ -579,84 +567,6 @@ def f_vector(n: Sequence[int]) -> list[int]:
     out = [0] * (max(dims) + 1)
     for d in dims:
         out[d] += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# fiber specifications and flat root data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiberSpec:
-    """A fiber product: r lines, one count vector per factor."""
-
-    r: int
-    factors: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be at least 1")
-        for f in self.factors:
-            if len(f) != self.r:
-                raise ValueError(f"factor {f} does not have length {self.r}")
-            if any(c < 0 for c in f):
-                raise ValueError(f"factor {f} has a negative entry")
-            if sum(f) == 0:
-                raise ValueError(f"factor {f} carries no marks")
-
-
-@dataclass(frozen=True)
-class RootDatum:
-    """Root-level collision datum: line partition plus mark partitions.
-
-    blocks[p][i] is the partition of factor i's marks over part p, each mark a
-    (line, index) pair.
-    """
-
-    partition: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], ...]
-
-
-def enumerate_stable_root_data(spec: FiberSpec) -> list[RootDatum]:
-    """All stable root collision data of the fiber product.
-
-    A datum with a single part (all lines collided) is stable only when every
-    factor's marks split into at least two groups; the one-line one-factor
-    base case admits no stable datum at all.
-    """
-    lines = list(range(1, spec.r + 1))
-    factor_marks = [
-        [(i, j) for i in lines for j in range(1, f[i - 1] + 1)]
-        for f in spec.factors
-    ]
-    out: list[RootDatum] = []
-    for raw_parts in set_partitions(lines):
-        parts = tuple(sorted((tuple(sorted(p)) for p in raw_parts), key=lambda p: p[0]))
-        per_part_per_factor: list[list[list[tuple[tuple[tuple[int, int], ...], ...]]]] = []
-        for part in parts:
-            factor_options: list[list[tuple[tuple[tuple[int, int], ...], ...]]] = []
-            for marks in factor_marks:
-                over = [m for m in marks if m[0] in part]
-                opts = []
-                for groups in set_partitions(over):
-                    if len(parts) == 1 and len(groups) < 2:
-                        continue
-                    opts.append(
-                        tuple(sorted(tuple(sorted(g)) for g in groups))
-                    )
-                factor_options.append(opts)
-            per_part_per_factor.append(factor_options)
-        if any(
-            not opts for factor_options in per_part_per_factor for opts in factor_options
-        ):
-            continue
-        part_choices = [
-            list(product(*factor_options)) for factor_options in per_part_per_factor
-        ]
-        for combo in product(*part_choices):
-            out.append(RootDatum(parts, tuple(combo)))
-    out.sort(key=repr)
     return out
 
 
@@ -921,9 +831,10 @@ def _components_on_path(
     return out
 
 
-def _coherence_constraints(
-    tp: TreePair,
-) -> list[tuple[str, tuple[int, ...], tuple[int, ...], int | None]]:
+_Constraint = tuple[str, tuple[int, ...], tuple[int, ...], int | None]
+
+
+def _coherence_constraints(tp: TreePair) -> list[_Constraint]:
     """The {0,1} path-product identities cutting out the local poset.
 
     Each constraint is (description, left_path, right_path, seam_index):
@@ -936,7 +847,7 @@ def _coherence_constraints(
     seams = non_root_interior(tp.seam_tree)
     seam_index = {b: i for i, b in enumerate(seams)}
     multis = tp.multi_components()
-    constraints: list[tuple[str, tuple[int, ...], tuple[int, ...], int | None]] = []
+    constraints: list[_Constraint] = []
 
     def ancestors(comp: Component) -> list[Component]:
         out = []
@@ -990,34 +901,33 @@ def _coherence_constraints(
     return constraints
 
 
+def _first_incoherence(
+    constraints: Sequence[_Constraint],
+    q: Sequence[int],
+    r: Sequence[int],
+) -> str | None:
+    """The description of the first constraint that (q, r) breaks, or None."""
+    for desc, left, right, seam_i in constraints:
+        rhs = prod(q[i] for i in right)
+        if seam_i is not None:
+            rhs *= r[seam_i]
+        if prod(q[i] for i in left) != rhs:
+            return desc
+    return None
+
+
 def local_poset_elements(tp: TreePair) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All coherent (q, r) in {0,1}: q over non-root screens in depth-first
     order, r over non-root interior seam vertices in depth-first order."""
     comps = non_root_components(tp)
     seams = non_root_interior(tp.seam_tree)
     constraints = _coherence_constraints(tp)
-    out = []
-    for q in product((0, 1), repeat=len(comps)):
-        for rv in product((0, 1), repeat=len(seams)):
-            ok = True
-            for _, left, right, seam_i in constraints:
-                lhs = 1
-                for i in left:
-                    lhs *= q[i]
-                rhs = rv[seam_i] if seam_i is not None else 1
-                for i in right:
-                    rhs *= q[i]
-                if seam_i is not None:
-                    if rhs != lhs:
-                        ok = False
-                        break
-                else:
-                    if lhs != rhs:
-                        ok = False
-                        break
-            if ok:
-                out.append((q, rv))
-    return out
+    return [
+        (q, rv)
+        for q in product((0, 1), repeat=len(comps))
+        for rv in product((0, 1), repeat=len(seams))
+        if _first_incoherence(constraints, q, rv) is None
+    ]
 
 
 def glue_tree_pair(
@@ -1033,15 +943,9 @@ def glue_tree_pair(
         raise ValueError(f"q must be a 0/1 vector of length {len(comps)}")
     if len(rt) != len(seams) or any(v not in (0, 1) for v in rt):
         raise ValueError(f"r must be a 0/1 vector of length {len(seams)}")
-    for desc, left, right, seam_i in _coherence_constraints(tp):
-        lhs = 1
-        for i in left:
-            lhs *= qt[i]
-        rhs = rt[seam_i] if seam_i is not None else 1
-        for i in right:
-            rhs *= qt[i]
-        if lhs != rhs:
-            raise ValueError(f"incoherent gluing data: {desc}")
+    desc = _first_incoherence(_coherence_constraints(tp), qt, rt)
+    if desc is not None:
+        raise ValueError(f"incoherent gluing data: {desc}")
     keep_one = {b for b, v in zip(seams, rt) if v == 0}
     keep_one.add(tp.seam_tree.root)
     keep_one.update(frozenset({i}) for i in range(1, tp.r + 1))

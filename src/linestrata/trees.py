@@ -22,8 +22,6 @@ __all__ = [
     "Bracket",
     "top_tree",
     "enumerate_stable_trees",
-    "bracketing",
-    "tree_from_bracketing",
     "poset_leq_tree",
     "glue_tree",
     "tree_dimension",
@@ -138,8 +136,7 @@ class StableTree:
                 return next(iter(b))
             return [build(c) for c in self.children(b)]
 
-        out = build(self.root)
-        return out if isinstance(out, list) else out
+        return build(self.root)
 
     @classmethod
     def from_nested(cls, nested: object, r: int | None = None) -> "StableTree":
@@ -185,15 +182,6 @@ class StableTree:
 def top_tree(r: int) -> StableTree:
     """The corolla: root with all leaves as children (the unique maximum)."""
     return StableTree(r, ())
-
-
-def bracketing(tree: StableTree) -> frozenset[Bracket]:
-    """The tree's full laminar family (root and singletons included)."""
-    return tree.brackets
-
-
-def tree_from_bracketing(r: int, brackets: Iterable[Bracket]) -> StableTree:
-    return StableTree(r, brackets)
 
 
 def poset_leq_tree(t1: StableTree, t2: StableTree) -> bool:

@@ -1,4 +1,5 @@
-"""Property tests: count-vector partitions, UniPoly ring laws, vpp symmetry."""
+"""Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
+vpp symmetry."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from linestrata import _combi
 from linestrata._combi import set_partitions, vector_partitions
-from linestrata.exact_poly import UniPoly
+from linestrata.exact_poly import MultiPoly, UniPoly, multi_eval
 from linestrata.vpp import vpp, vpp_fiber_product
 
 
@@ -73,6 +74,32 @@ def test_trusted_constructor_agrees(cs):
     assert trusted == UniPoly(cs)
     assert type(trusted.coeffs) is tuple
     assert not trusted.coeffs or trusted.coeffs[-1] != 0
+
+
+monomials = st.dictionaries(st.sampled_from("abc"), st.integers(0, 2), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+multipolys = st.dictionaries(monomials, st.integers(-5, 5), max_size=4).map(MultiPoly)
+points = st.fixed_dictionaries({v: st.integers(-3, 3) for v in "abc"})
+
+
+@settings(max_examples=80, deadline=None)
+@given(multipolys, multipolys, multipolys, points)
+def test_multipoly_ring_laws(p, q, r, point):
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p
+    assert (p * zero).is_zero()
+    assert (p - p).is_zero()
+    assert p * 3 == p * MultiPoly.constant(3) == p + p + p
+    assert p**2 == p * p
+    # evaluation at a point is a ring homomorphism
+    assert multi_eval(p + q, point) == multi_eval(p, point) + multi_eval(q, point)
+    assert multi_eval(p * q, point) == multi_eval(p, point) * multi_eval(q, point)
 
 
 small_types = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(

@@ -1,14 +1,20 @@
 """Tests for stratum tree pairs: enumeration, bracketings, poset, gluing."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import linestrata
 from linestrata.tree_pairs import (
     Component,
-    FiberSpec,
     Mark,
     Seam,
     TreePair,
-    enumerate_stable_root_data,
     enumerate_tree_pairs,
     enumerate_two_bracketings_bruteforce,
     f_vector,
@@ -57,6 +63,47 @@ def test_stratum_counts():
         found = enumerate_tree_pairs(n)
         assert len(found) == count, n
         assert len({tp.canonical_key() for tp in found}) == count, n
+
+
+# SHA-256 of the strata's sorted-key JSON, one line each, in enumeration
+# order; frozen from the enumeration that deduplicated by nested tuples
+ORDER_DIGESTS = {
+    (2, 1): "45fae35084912b645221d806b65df2875a0753827fa32aefe46905b12297df67",
+    (1, 1, 1): "22edf7968fc5af3780ff036e03db6f27bb2097db5f4885f3f1e5e0d3fe686b16",
+    (2, 2): "851434f360deb30daf51018ed9b4995f139fc6fc8b82ea24333e8c3a47bfd25e",
+    (3, 0, 0): "f9faa03cb264528f76d2c9c2d7a1a2ec3dba1ba5edeab6d2dd4b7acb4e4a652d",
+}
+
+
+def test_enumeration_order_is_frozen():
+    for n, digest in ORDER_DIGESTS.items():
+        text = "".join(
+            json.dumps(tp.to_json(), sort_keys=True) + "\n"
+            for tp in enumerate_tree_pairs(n)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+@pytest.mark.parametrize("optimize", [0, 1], ids=["plain", "optimize"])
+def test_duplicate_stratum_check_fires(optimize):
+    # an explicit raise, so python -O keeps it
+    script = (
+        "import sys\n"
+        "from linestrata import tree_pairs\n"
+        f"if sys.flags.optimize != {optimize}: sys.exit('wrong optimize level')\n"
+        "enum_fiber = tree_pairs._enum_fiber\n"
+        "tree_pairs._enum_fiber = lambda *args: enum_fiber(*args) * 2\n"
+        "tree_pairs.enumerate_tree_pairs((2, 1))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(linestrata.__file__).parents[1])},
+        timeout=120,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "AssertionError: duplicate stratum produced by enumeration" in result.stderr
 
 
 def test_f_vectors():
@@ -108,6 +155,36 @@ def test_json_round_trip():
             assert TreePair.from_json(tp.to_json()) == tp
 
 
+def _reversed_bubble_tree(comp: dict) -> dict:
+    """The JSON screen with every seam list and child list reversed."""
+    return {
+        "lines": comp["lines"],
+        "seams": [
+            {
+                "lines": seam["lines"],
+                "children": [
+                    child if "mark" in child else _reversed_bubble_tree(child)
+                    for child in reversed(seam["children"])
+                ],
+            }
+            for seam in reversed(comp["seams"])
+        ],
+    }
+
+
+def test_from_json_stores_canonical_order():
+    reordered = 0
+    for n in [(2, 1), (1, 1, 1), (3, 0)]:
+        for tp in enumerate_tree_pairs(n):
+            data = tp.to_json()
+            data["bubble_tree"] = _reversed_bubble_tree(data["bubble_tree"])
+            reordered += data != tp.to_json()
+            parsed = TreePair.from_json(data)
+            assert parsed == tp, n
+            assert parsed.canonical_key() == tp.canonical_key(), n
+    assert reordered > 0
+
+
 def test_bracketing_round_trip():
     for n in [(2, 0), (1, 1), (2, 1), (1, 1, 0)]:
         for tp in enumerate_tree_pairs(n):
@@ -140,16 +217,6 @@ def test_two_bracketing_bruteforce_guard():
         enumerate_two_bracketings_bruteforce((6, 6), max_candidates=64)
     with pytest.raises(ValueError, match="at least one mark"):
         enumerate_two_bracketings_bruteforce((0, 0, 0))
-
-
-def test_root_data_counts():
-    # the one-line one-factor base case admits no stable datum
-    assert enumerate_stable_root_data(FiberSpec(1, ((1,),))) == []
-    assert len(enumerate_stable_root_data(FiberSpec(1, ((2,),)))) == 1
-    # two factors, one mark each: only the full collision with both marks
-    # grouped separately survives stability
-    assert len(enumerate_stable_root_data(FiberSpec(2, ((1, 0), (0, 1))))) == 1
-    assert len(enumerate_stable_root_data(FiberSpec(2, ((2, 0),)))) == 3
 
 
 def test_poset_properties():
@@ -251,3 +318,9 @@ def test_component_structure_validation():
     )
     with pytest.raises(ValueError):
         validate_tree_pair(TreePair((2,), top_tree(1), dup_root))
+    # a screen with no seams, read from JSON, is rejected by validation
+    # after the children are put in canonical order
+    bare = top_tree_pair((1, 1)).to_json()
+    bare["bubble_tree"]["seams"][0]["children"].append({"lines": [1], "seams": []})
+    with pytest.raises(ValueError, match="screen with no seams"):
+        TreePair.from_json(bare)

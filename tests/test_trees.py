@@ -6,13 +6,11 @@ import pytest
 
 from linestrata.trees import (
     StableTree,
-    bracketing,
     enumerate_stable_trees,
     glue_tree,
     poset_leq_tree,
     top_tree,
     tree_dimension,
-    tree_from_bracketing,
 )
 
 fz = frozenset
@@ -75,7 +73,7 @@ def test_nested_round_trip():
 
 def test_bracketing_round_trip():
     for tree in enumerate_stable_trees(4):
-        assert tree_from_bracketing(4, bracketing(tree)) == tree
+        assert StableTree(4, tree.brackets) == tree
 
 
 def test_enumeration_counts():
