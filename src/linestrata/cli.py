@@ -31,7 +31,7 @@ from .local_models import (
     lattice_span_equal,
     monoid_saturation_witness,
 )
-from .tree_pairs import TreePair, enumerate_tree_pairs, f_vector, stratum_dimension
+from .tree_pairs import TreePair, enumerate_tree_pairs, f_vector
 from .trees import StableTree
 from .vpp import vpp, vpp_table
 
@@ -53,14 +53,19 @@ def _vector(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit_json(payload: object) -> None:
@@ -100,6 +105,15 @@ def _exceeds_guard(label: str, size: int, max_size: int | None, guard: int) -> b
     return True
 
 
+def _refuses_enumeration(n: tuple[int, ...], max_size: int | None) -> bool:
+    """Report and return True when the strata of type n cannot be
+    enumerated: the type carries no mark, or it exceeds the size guard."""
+    if not any(n):
+        _fail("the mark vector must carry at least one mark")
+        return True
+    return _exceeds_guard("|n| + r =", sum(n) + len(n), max_size, ENUM_GUARD)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -107,7 +121,7 @@ def _exceeds_guard(label: str, size: int, max_size: int | None, guard: int) -> b
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if _exceeds_guard("|n| + r =", sum(n) + len(n), args.max_size, ENUM_GUARD):
+    if _refuses_enumeration(n, args.max_size):
         return 1
     counts = f_vector(n)
     by_dim = [(d, c) for d, c in enumerate(counts) if c]
@@ -127,7 +141,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_fvector(args: argparse.Namespace) -> int:
     n = args.n
-    if _exceeds_guard("|n| + r =", sum(n) + len(n), args.max_size, ENUM_GUARD):
+    if _refuses_enumeration(n, args.max_size):
         return 1
     counts = f_vector(n)
     if args.format == "json":
@@ -215,11 +229,9 @@ def _worker_count(jobs: int, cpus: int, models: int) -> int:
 
 def _cmd_check_local_model(args: argparse.Namespace) -> int:
     n = args.n
-    if _exceeds_guard("|n| + r =", sum(n) + len(n), args.max_size, ENUM_GUARD):
+    if _refuses_enumeration(n, args.max_size):
         return 1
-    models = [
-        tp for tp in enumerate_tree_pairs(n) if stratum_dimension(tp) == 0
-    ]
+    models = [tp for tp in enumerate_tree_pairs(n) if tp.dimension == 0]
     if not models:
         print("no 0-dimensional strata")
         return 0
@@ -374,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vpp)
 
     p = sub.add_parser("vpp-table", help="all types of a given dimension")
-    p.add_argument("dimension", type=int)
+    p.add_argument("dimension", type=_int_at_least(0))
     common(p)
     p.set_defaults(func=_cmd_vpp_table)
 
@@ -385,10 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_vector)
     common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20, help="witness trials per model")
+    p.add_argument(
+        "--trials", type=_int_at_least(0), default=20, help="witness trials per model"
+    )
     p.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="parallel workers, at most one per CPU and per model (default 1)",
     )
@@ -404,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("spec", help="JSON file with tree1/slices1/tree2/slices2, or -")
     common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_transition_check)
 

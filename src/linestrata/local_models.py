@@ -5,7 +5,9 @@ non-root interior seam bracket.  The screens' matching conditions span a
 sublattice of relations; this module builds that sublattice two ways (the
 raw matching vectors and a triangular canonical set), compares spans,
 tests saturation, and solves the integer difference-constraint systems
-used to certify that nonnegative representatives exist.
+used to certify that nonnegative representatives exist.  Span equality and
+saturation both come from one diagonalisation by integer row and column
+operations, in plain Python integers.
 """
 
 from __future__ import annotations
@@ -276,43 +278,71 @@ def _generator_rows(obj) -> list[tuple[int, ...]]:
     return rows
 
 
+def _diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonalise an integer matrix by unimodular row and column operations
+    and return the absolute values of its nonzero diagonal entries: their
+    number is the rank, their product the index of the row lattice in its
+    saturation (Cohen, *A Course in Computational Algebraic Number Theory*,
+    section 2.4).
+
+    Each pass takes a nonzero entry of least absolute value as the pivot and
+    reduces its column by row operations and its row by column operations.
+    If both come out clean the pivot is recorded; otherwise a remainder
+    smaller than the pivot is left, so the least entry strictly falls.
+    """
+    matrix = [list(row) for row in rows]
+    diagonal: list[int] = []
+    while matrix := [row for row in matrix if any(row)]:
+        _, i, j = min(
+            (abs(v), i, j)
+            for i, row in enumerate(matrix)
+            for j, v in enumerate(row)
+            if v
+        )
+        pivot_row = matrix[i]
+        pivot = pivot_row[j]
+        clean = True
+        for row in matrix:
+            if row is not pivot_row and row[j]:
+                q = row[j] // pivot
+                for c, v in enumerate(pivot_row):
+                    row[c] -= q * v
+                clean = clean and not row[j]
+        for c, v in enumerate(pivot_row):
+            if c != j and v:
+                q = v // pivot
+                for row in matrix:
+                    row[c] -= q * row[j]
+                clean = clean and not pivot_row[c]
+        if clean:
+            diagonal.append(abs(pivot))
+            pivot_row[j] = 0  # the pivot's row and column are now zero
+    return diagonal
+
+
 def lattice_span_equal(first, second) -> bool:
     """Whether two generator families span the same sublattice of Z^n.
 
     Accepts LatticeModel instances or plain iterables of integer vectors.
-    Decided by comparing column-style Hermite normal forms.
+    Both families span sublattices of the lattice L their union spans.  At
+    equal rank all three share a saturation, and a sublattice of L with
+    the same index in it as L is L itself, so rank and index decide.
     """
-    # sympy is imported here, not at module top, so that importing the
-    # package (and every CLI command that runs no lattice check) stays cheap
-    from sympy import Matrix
-    from sympy.matrices.normalforms import hermite_normal_form
-
     rows_a = [r for r in _generator_rows(first) if any(r)]
     rows_b = [r for r in _generator_rows(second) if any(r)]
     if rows_a and rows_b and len(rows_a[0]) != len(rows_b[0]):
         raise ValueError("generator families live in different ambient ranks")
-    if not rows_a or not rows_b:
-        return not rows_a and not rows_b
-    return hermite_normal_form(Matrix(rows_a).T) == hermite_normal_form(
-        Matrix(rows_b).T
+    union = _diagonal(rows_a + rows_b)
+    return all(
+        len(d) == len(union) and math.prod(d) == math.prod(union)
+        for d in (_diagonal(rows_a), _diagonal(rows_b))
     )
 
 
 def lattice_is_saturated(model_or_generators) -> bool:
     """Whether the generated sublattice is saturated in Z^n (the quotient is
-    torsion-free): every nonzero invariant factor must be 1."""
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    rows = [r for r in _generator_rows(model_or_generators) if any(r)]
-    if not rows:
-        return True
-    snf = smith_normal_form(Matrix(rows))
-    for i in range(min(snf.shape)):
-        entry = snf[i, i]
-        if entry != 0 and abs(entry) != 1:
-            return False
-    return True
+    torsion-free): every nonzero diagonal entry must be 1."""
+    return all(d == 1 for d in _diagonal(_generator_rows(model_or_generators)))
 
 
 def _monomial_string(factors: list[tuple[str, int]]) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter
@@ -215,8 +215,13 @@ class TreePair:
         validate_tree_pair(tp)
         return tp
 
+    @cached_property
+    def dimension(self) -> int:
+        """:func:`stratum_dimension` of this stratum, computed once."""
+        return stratum_dimension(self)
+
     def sort_key(self) -> tuple[int, str]:
-        return (stratum_dimension(self), self.canonical_key())
+        return (self.dimension, self.canonical_key())
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +568,7 @@ def enumerate_tree_pairs(n: Sequence[int]) -> list[TreePair]:
 
 def f_vector(n: Sequence[int]) -> list[int]:
     """Stratum counts by dimension, starting at dimension 0."""
-    dims = [stratum_dimension(tp) for tp in enumerate_tree_pairs(n)]
+    dims = [tp.dimension for tp in enumerate_tree_pairs(n)]
     out = [0] * (max(dims) + 1)
     for d in dims:
         out[d] += 1

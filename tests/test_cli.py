@@ -93,15 +93,28 @@ def test_size_guards(capsys):
 
 
 def test_usage_errors():
-    with pytest.raises(SystemExit) as info:
-        run(["vpp", "1,x"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run(["no-such-command"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run(["check-local-model", "2,1", "--jobs", "0"])
-    assert info.value.code == 2
+    for argv in (
+        ["vpp", "1,x"],
+        ["no-such-command"],
+        ["check-local-model", "2,1", "--jobs", "0"],
+        ["vpp-table", "-1"],
+        ["check-local-model", "1", "--trials", "-3"],
+        ["transition-check", "-", "--samples", "-5"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2, argv
+
+
+def test_markless_type_is_a_domain_error(capsys):
+    for argv in (["enumerate", "0"], ["fvector", "0,0"], ["check-local-model", "0,0"]):
+        assert run(argv) == 1, argv
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == "error: the mark vector must carry at least one mark\n"
+    # the polynomial of a markless type needs no enumeration
+    assert run(["vpp", "0,0"]) == 0
+    assert out_of(capsys)[0] == "1\n"
 
 
 def test_check_local_model(capsys):
@@ -167,12 +180,25 @@ def test_check_survives_optimize_flag():
     assert "solver produced an invalid assignment" in result.stdout
 
 
-def test_import_does_not_load_sympy():
+def test_import_does_not_load_sympy(capsys):
     result = run_python(
         "-c", "import sys, linestrata.cli; print('sympy' in sys.modules)"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+    # with sympy made unimportable, the lattice checks still run and print
+    # the same bytes: it is no runtime dependency
+    argv = ["check-local-model", "2,1", "--trials", "5"]
+    blocked = run_python(
+        "-c",
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from linestrata.cli import run\n"
+        f"sys.exit(run({argv!r}))\n",
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert run(argv) == 0
+    assert blocked.stdout == out_of(capsys)[0]
 
 
 CHART_SPEC = {

@@ -280,6 +280,27 @@ def test_saturation_is_unimodular_invariant():
     assert lattice_is_saturated(rows)
 
 
+def test_lattice_checks_can_fail():
+    assert not lattice_is_saturated([[2, 0]])
+    assert not lattice_is_saturated([[1, 1], [1, -1]])  # index 2
+    assert lattice_is_saturated([[1, 1], [1, 0]])
+    assert lattice_is_saturated([])
+    assert not lattice_span_equal([[1, 0]], [[2, 0]])
+    assert not lattice_span_equal([[2, 0]], [[1, 0]])
+    assert not lattice_span_equal([[1, 0]], [[0, 1]])  # same rank and index
+    assert not lattice_span_equal([], [[1, 0]])
+    assert not lattice_span_equal([[1, 0]], [[0, 0]])
+    assert lattice_span_equal([], [[0, 0, 0]])
+    assert lattice_span_equal([[1, 1], [1, -1]], [[2, 0], [1, 1], [0, 2]])
+
+
+def test_lattice_checks_validate_shapes():
+    with pytest.raises(ValueError, match="different ambient ranks"):
+        lattice_span_equal([[1, 0]], [[1, 0, 0]])
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        lattice_is_saturated([[1, 0], [1]])
+
+
 # ---------------------------------------------------------------------------
 # incidence pattern and sweep over small 0-dimensional strata
 # ---------------------------------------------------------------------------

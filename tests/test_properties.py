@@ -1,13 +1,16 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
-vpp symmetry."""
+vpp symmetry, and the lattice checks against sympy's normal forms."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from linestrata import _combi
 from linestrata._combi import set_partitions, vector_partitions
 from linestrata.exact_poly import MultiPoly, UniPoly, multi_eval
+from linestrata.local_models import lattice_is_saturated, lattice_span_equal
 from linestrata.vpp import vpp, vpp_fiber_product
 
 
@@ -116,3 +119,46 @@ def test_vpp_invariant_under_line_permutation(n, rng):
     if any(n):
         # vpp sorts the lines before recursing; the fiber product does not
         assert vpp_fiber_product(len(n), [shuffled]) == vpp(n)
+
+
+def _sympy_span_equal(a, b) -> bool:
+    a = [row for row in a if any(row)]
+    b = [row for row in b if any(row)]
+    if not a or not b:
+        return not a and not b
+    return hermite_normal_form(Matrix(a).T) == hermite_normal_form(Matrix(b).T)
+
+
+def _sympy_saturated(a) -> bool:
+    a = [row for row in a if any(row)]
+    if not a:
+        return True
+    snf = smith_normal_form(Matrix(a))
+    return all(abs(snf[i, i]) in (0, 1) for i in range(min(snf.shape)))
+
+
+@st.composite
+def generator_pairs(draw):
+    width = draw(st.integers(1, 4))
+    rows = st.lists(
+        st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+        max_size=4,
+    )
+    a = draw(rows)
+    if draw(st.booleans()):
+        return a, draw(rows)
+    # b: a after unimodular row operations, so equal spans occur often
+    b = [list(row) for row in a]
+    steps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(steps, max_size=4)):
+        if i < len(b) and j < len(b) and i != j:
+            b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+    return a, draw(st.permutations(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_pairs())
+def test_lattice_checks_agree_with_sympy(pair):
+    a, b = pair
+    assert lattice_span_equal(a, b) == _sympy_span_equal(a, b)
+    assert lattice_is_saturated(a) == _sympy_saturated(a)

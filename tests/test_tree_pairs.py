@@ -111,6 +111,21 @@ def test_f_vectors():
         assert f_vector(n) == expected, n
 
 
+def test_dimension_is_computed_once_per_stratum(monkeypatch):
+    calls = []
+
+    def counting(tp):
+        calls.append(tp)
+        return stratum_dimension(tp)
+
+    monkeypatch.setattr("linestrata.tree_pairs.stratum_dimension", counting)
+    assert f_vector((2, 1)) == F_VECTORS[(2, 1)]
+    assert len(calls) == sum(F_VECTORS[(2, 1)])
+    tp = calls[0]
+    assert tp.dimension == stratum_dimension(tp)
+    assert len(calls) == sum(F_VECTORS[(2, 1)])
+
+
 def test_codimension_one_counts():
     """Number of one-step degenerations of the open stratum."""
     expected = {
