@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exact_poly import MultiPoly, monomial_content_split, multi_eval
+from .exact_poly import MultiPoly
 from .trees import Bracket, StableTree, glue_tree
 from .tree_pairs import Component, Mark, TreePair
 
@@ -55,6 +57,11 @@ def _as_vertex(tree: StableTree, v) -> Bracket:
     if v not in tree.brackets:
         raise KeyError(f"{sorted(v)} is not a vertex of the tree")
     return v
+
+
+def _meet(tree: StableTree, u: Bracket, v: Bracket) -> Bracket:
+    """The deepest vertex holding both u and v."""
+    return min((w for w in tree.brackets if u | v <= w), key=len)
 
 
 def default_slices(tree: StableTree) -> dict[Bracket, tuple[Bracket, Bracket]]:
@@ -182,13 +189,12 @@ def gluing_polynomial(curve: StableCurve, rho, sigma) -> MultiPoly:
     b_path: list[str] = []
     current = rho
     while current != sigma:
-        step = None
-        for index, child in enumerate(tree.children(current)):
-            if sigma <= child:
-                step = child
-                coeff = curve.positions[current][index]
+        for index, step in enumerate(tree.children(current)):
+            if sigma <= step:
                 break
-        assert step is not None
+        else:
+            raise AssertionError("child lookup failed")
+        coeff = curve.positions[current][index]
         poly = poly + MultiPoly.from_monomial({name: 1 for name in b_path}, coeff)
         b_path.append(_b_variable(step))
         current = step
@@ -196,40 +202,21 @@ def gluing_polynomial(curve: StableCurve, rho, sigma) -> MultiPoly:
 
 
 def extract_q_factor(curve: StableCurve, i: int, j: int) -> MultiPoly:
-    """The monomial-free part of the difference of two leaf positions.
-
-    Stripping the shared monomial content leaves the factor whose
-    nonvanishing keeps leaves i and j apart after gluing; its constant term
-    is the difference of two distinct positions on the deepest shared
-    screen, hence nonzero.
+    """The factor whose nonvanishing keeps leaves i and j apart after gluing:
+    their difference seen from the deepest screen holding both.  Seen from
+    the root, it is scaled by the b-variables down to that screen; its
+    constant term is a difference of two distinct positions, hence nonzero.
     """
     if i == j:
         raise ValueError("leaves must be distinct")
-    root = curve.tree.root
-    difference = gluing_polynomial(curve, root, i) - gluing_polynomial(
-        curve, root, j
-    )
-    assert not difference.is_zero()
-    _, reduced = monomial_content_split(difference)
-    return reduced
+    tree = curve.tree
+    meet = _meet(tree, _as_vertex(tree, i), _as_vertex(tree, j))
+    return gluing_polynomial(curve, meet, i) - gluing_polynomial(curve, meet, j)
 
 
 # ---------------------------------------------------------------------------
 # chart evaluation
 # ---------------------------------------------------------------------------
-
-
-def _b_assignment(
-    tree: StableTree, b: Mapping
-) -> tuple[dict[Bracket, Fraction], dict[str, Fraction]]:
-    values = {frozenset(k): Fraction(v) for k, v in b.items()}
-    expected = {v for v in tree.interior_vertices() if v != tree.root}
-    if set(values) != expected:
-        raise ValueError(
-            "gluing coordinates must cover exactly the non-root interior vertices"
-        )
-    by_name = {_b_variable(v): x for v, x in values.items()}
-    return values, by_name
 
 
 def evaluate_chart(
@@ -238,39 +225,46 @@ def evaluate_chart(
     slices: Mapping[Bracket, tuple[Bracket, Bracket]] | None = None,
 ) -> StableCurve:
     """Glue the curve along b: vertices with a nonzero coordinate melt into
-    their parent, and every surviving screen's positions are read off the
-    gluing polynomials.
+    their parent, and every surviving screen's positions are the gluing
+    polynomials evaluated at b.
 
-    Raises ValueError when some pair-separating factor vanishes at b (the
-    point is outside the chart domain) or when the slice pinning fails.
+    Raises ValueError when two leaves coincide on the deepest screen holding
+    both (the point is outside the chart domain) or when the slices fail.
     """
     tree = curve.tree
     if slices is not None:
         check_slices(curve, slices)
-    values, by_name = _b_assignment(tree, b)
+    values = {frozenset(k): Fraction(v) for k, v in b.items()}
+    if set(values) != {v for v in tree.interior_vertices() if v != tree.root}:
+        raise ValueError(
+            "gluing coordinates must cover exactly the non-root interior vertices"
+        )
 
-    leaves = sorted(leaf for bracket in tree.brackets if len(bracket) == 1 for leaf in bracket)
-    for a_index in range(len(leaves)):
-        for b_index in range(a_index + 1, len(leaves)):
-            i, j = leaves[a_index], leaves[b_index]
-            factor = extract_q_factor(curve, i, j)
-            needed = {name: by_name.get(name, Fraction(0)) for name in factor.variables()}
-            if multi_eval(factor, needed) == 0:
-                raise ValueError(
-                    f"outside the chart domain: the separating factor for "
-                    f"leaves {i} and {j} vanishes"
-                )
+    @cache
+    def seen_from(rho: Bracket) -> dict[Bracket, Fraction]:
+        """Every vertex strictly below rho at its position on rho's screen."""
+        seen = {}
+        for child, position in zip(tree.children(rho), curve.positions[rho]):
+            seen[child] = position
+            if len(child) > 1:
+                for sigma, x in seen_from(child).items():
+                    seen[sigma] = position + values[child] * x
+        return seen
+
+    for i, j in combinations(range(1, tree.r + 1), 2):
+        seen = seen_from(_meet(tree, frozenset({i}), frozenset({j})))
+        if seen[frozenset({i})] == seen[frozenset({j})]:
+            raise ValueError(
+                f"outside the chart domain: the separating factor for "
+                f"leaves {i} and {j} vanishes"
+            )
 
     pattern = {v: (0 if x == 0 else 1) for v, x in values.items()}
     new_tree = glue_tree(tree, pattern)
-    positions = {}
-    for rho in new_tree.interior_vertices():
-        row = []
-        for child in new_tree.children(rho):
-            poly = gluing_polynomial(curve, rho, child)
-            needed = {name: by_name[name] for name in poly.variables()}
-            row.append(multi_eval(poly, needed))
-        positions[rho] = tuple(row)
+    positions = {
+        rho: tuple(seen_from(rho)[child] for child in new_tree.children(rho))
+        for rho in new_tree.interior_vertices()
+    }
     return StableCurve(new_tree, positions)
 
 

@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-size",
-            type=int,
+            type=_int_at_least(0),
             default=None,
             help="override the size guard",
         )

@@ -471,7 +471,8 @@ def monomial_content_split(
                 v: min(e, exps.get(v, 0)) for v, e in content.items() if v in exps
             }
             content = {v: e for v, e in content.items() if e > 0}
-    assert content is not None
+    if content is None:
+        raise AssertionError("a nonzero polynomial has a term")
     reduced_terms: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
         exps = dict(mono)

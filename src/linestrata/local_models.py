@@ -201,10 +201,11 @@ def canonical_generators(
                     vec[col[("comp", comp)]] -= 1
             else:
                 above = _first_multi_toward_root(alpha, parent)
-                assert above is not None, (
-                    "the last splitting screen over a non-root bracket always "
-                    "sits under another splitting screen"
-                )
+                if above is None:
+                    raise AssertionError(
+                        "the last splitting screen over a non-root bracket always "
+                        "sits under another splitting screen"
+                    )
                 vec[col[("seam", bracket)]] += 1
                 for comp in _components_on_path(alpha, above, parent):
                     vec[col[("comp", comp)]] -= 1
@@ -249,7 +250,8 @@ def coherence_generators(
     for comp in comps:
         if comp.is_multi and comp.lines != root_lines:
             above = _first_multi_toward_root(comp, parent)
-            assert above is not None
+            if above is None:
+                raise AssertionError("a non-root splitting screen rests on another")
             vec = [0] * n
             vec[col[("seam", comp.lines)]] += 1
             for step in _components_on_path(comp, above, parent):
@@ -471,7 +473,8 @@ def solve_difference_constraints(system: DiffConstraintSystem) -> SolveResult:
             caps.append(int(upper[j]))
         for i, c in into[j]:
             value = solution[i]
-            assert value is not None
+            if value is None:
+                raise AssertionError("a deferred variable depends on an unsolved one")
             caps.append(value - c)
         solution[j] = min(caps) if caps else 0
 

@@ -427,7 +427,8 @@ _FactorPlan = tuple  # ("screen", _ScreenPlan) | ("fused", tuple[_FactorPlan, ..
 def _factor_plans(
     marks: tuple[Mark, ...], parts: tuple[tuple[int, ...], ...]
 ) -> list[_FactorPlan]:
-    assert marks, "screens always carry at least one mark"
+    if not marks:
+        raise AssertionError("screens always carry at least one mark")
     plans: list[_FactorPlan] = [("screen", sp) for sp in _screen_plans(marks, parts)]
     for groups in set_partitions(list(marks)):
         if len(groups) < 2:
@@ -830,7 +831,8 @@ def _components_on_path(
     out = [comp]
     cur = parent[comp]
     while cur is not stop:
-        assert cur is not None, "stop screen is not an ancestor"
+        if cur is None:
+            raise AssertionError("stop screen is not an ancestor")
         out.append(cur)
         cur = parent[cur]
     return out
@@ -893,7 +895,8 @@ def _coherence_constraints(tp: TreePair) -> list[_Constraint]:
         if rho == tp.seam_tree.root:
             continue
         below = _first_multi_toward_root(alpha, parent)
-        assert below is not None, "a splitting screen away from the root rests on one"
+        if below is None:
+            raise AssertionError("a splitting screen away from the root rests on one")
         constraints.append(
             (
                 f"seam vertex {sorted(rho)} glues exactly when the screen over"

@@ -51,11 +51,6 @@ __all__ = [
     "stratum_vpp",
 ]
 
-# Flag for cross-checking the closed-form shortcut for single-mark factors in
-# tests; leave True in normal use.
-_USE_BASIS_SHORTCUT = True
-
-
 @lru_cache(maxsize=None)
 def vpp_seam(r: int) -> UniPoly:
     """Polynomial of the compactified moduli of r collapsing lines.
@@ -212,12 +207,16 @@ def _fiber(r: int, factors: tuple[Vector, ...]) -> UniPoly:
         for f in factors:
             out = out * vpp_seam(sum(f) if sum(f) >= 1 else 1)
         return out
-    if not factors:
-        return vpp_seam(r)
-    if _USE_BASIS_SHORTCUT and all(sum(f) == 1 for f in factors):
+    if all(sum(f) == 1 for f in factors):
         # a single-mark factor is isomorphic to the base, so the fiber
-        # product collapses to the base itself
+        # product of none or only such factors is the base itself
         return vpp_seam(r)
+    return _fiber_sum(r, factors)
+
+
+def _fiber_sum(r: int, factors: tuple[Vector, ...]) -> UniPoly:
+    """The fiber product of nonempty factors over r >= 2 lines, summed over
+    the pooled screen multisets the factors present to the root."""
     pooled = _pool([_screen_distribution(f) for f in factors])
     total = UniPoly.zero()
     for screens, weight in sorted(pooled.items(), key=lambda kv: kv[0]):

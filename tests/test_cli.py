@@ -100,6 +100,8 @@ def test_usage_errors():
         ["vpp-table", "-1"],
         ["check-local-model", "1", "--trials", "-3"],
         ["transition-check", "-", "--samples", "-5"],
+        ["enumerate", "2,1", "--max-size", "-5"],
+        ["vpp", "1,1", "--max-size", "-1"],
     ):
         with pytest.raises(SystemExit) as info:
             run(argv)

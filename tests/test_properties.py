@@ -1,16 +1,35 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
-vpp symmetry, and the lattice checks against sympy's normal forms."""
+vpp symmetry, the lattice checks against sympy's normal forms, and chart
+evaluation against the symbolic gluing polynomials."""
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from linestrata import _combi
 from linestrata._combi import set_partitions, vector_partitions
-from linestrata.exact_poly import MultiPoly, UniPoly, multi_eval
+from linestrata.charts import (
+    StableCurve,
+    _b_variable,
+    evaluate_chart,
+    extract_q_factor,
+    gluing_polynomial,
+    invert_chart,
+    pinned_curve,
+)
+from linestrata.exact_poly import (
+    MultiPoly,
+    UniPoly,
+    monomial_content_split,
+    multi_eval,
+)
 from linestrata.local_models import lattice_is_saturated, lattice_span_equal
+from linestrata.trees import StableTree, glue_tree
 from linestrata.vpp import vpp, vpp_fiber_product
 
 
@@ -162,3 +181,96 @@ def test_lattice_checks_agree_with_sympy(pair):
     a, b = pair
     assert lattice_span_equal(a, b) == _sympy_span_equal(a, b)
     assert lattice_is_saturated(a) == _sympy_saturated(a)
+
+
+@st.composite
+def merged_trees(draw, max_leaves, binary=False):
+    """A stable tree built by merging random groups of roots until one is
+    left; binary trees merge two at a time."""
+    r = draw(st.integers(3, max_leaves))
+    roots = [frozenset({leaf}) for leaf in range(1, r + 1)]
+    brackets = []
+    while len(roots) > 1:
+        size = 2
+        while not binary and size < len(roots) and draw(st.booleans()):
+            size += 1
+        picked = draw(st.permutations(range(len(roots))))[:size]
+        merged = frozenset().union(*(roots[k] for k in picked))
+        roots = [root for k, root in enumerate(roots) if k not in picked]
+        roots.append(merged)
+        brackets.append(merged)
+    return StableTree(r, brackets)
+
+
+# few values, so that leaves often coincide after gluing
+SCREEN_VALUES = [Fraction(k) for k in range(-2, 4)]
+gluing_values = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_chart_agrees_with_gluing_polynomials(data):
+    tree = data.draw(merged_trees(6))
+    positions = {
+        rho: data.draw(st.permutations(SCREEN_VALUES))[: tree.in_degree(rho)]
+        for rho in tree.interior_vertices()
+    }
+    curve = StableCurve(tree, positions)
+    b = {
+        rho: data.draw(gluing_values)
+        for rho in tree.interior_vertices()
+        if rho != tree.root
+    }
+    at_b = {_b_variable(rho): x for rho, x in b.items()}
+    root = tree.root
+    vanishing = []
+    for i, j in combinations(range(1, tree.r + 1), 2):
+        factor = extract_q_factor(curve, i, j)
+        # the old derivation: strip the monomial content of the root-level
+        # difference
+        difference = gluing_polynomial(curve, root, i) - gluing_polynomial(
+            curve, root, j
+        )
+        assert factor == monomial_content_split(difference)[1]
+        if multi_eval(factor, at_b) == 0:
+            vanishing.append((i, j))
+    if vanishing:
+        i, j = vanishing[0]
+        with pytest.raises(ValueError, match=f"for leaves {i} and {j} vanishes$"):
+            evaluate_chart(curve, b)
+        return
+    glued = evaluate_chart(curve, b)
+    new_tree = glue_tree(tree, {rho: int(x != 0) for rho, x in b.items()})
+    assert glued.tree == new_tree
+    assert glued.positions == {
+        rho: tuple(
+            multi_eval(gluing_polynomial(curve, rho, child), at_b)
+            for child in new_tree.children(rho)
+        )
+        for rho in new_tree.interior_vertices()
+    }
+
+
+nonzero_fractions = st.sampled_from(
+    sorted({Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3) if k})
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_invert_chart_undoes_evaluate_chart(data):
+    tree = data.draw(merged_trees(8, binary=True))
+    slices = {}
+    for rho in tree.interior_vertices():
+        first, second = tree.children(rho)
+        slices[rho] = (first, second) if data.draw(st.booleans()) else (second, first)
+    b = {
+        rho: data.draw(nonzero_fractions)
+        for rho in tree.interior_vertices()
+        if rho != tree.root
+    }
+    try:
+        glued = evaluate_chart(pinned_curve(tree, slices), b)
+    except ValueError:
+        assume(False)
+    assert invert_chart(tree, slices, glued.positions[tree.root]) == b

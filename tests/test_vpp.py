@@ -7,6 +7,7 @@ the recursion was implemented; they are the oracle for everything else.
 import hashlib
 import importlib
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -199,18 +200,14 @@ def test_vpp_fiber_product():
         vpp_fiber_product(0, [])
 
 
-def _clear_vpp_caches():
-    for name in ("_fiber", "_screen_distribution", "_all_root", "_point_factor", "vpp_seam"):
-        getattr(vpp_module, name).cache_clear()
-
-
-def test_basis_shortcut_matches_full_recursion(monkeypatch):
-    _clear_vpp_caches()
-    try:
-        with_shortcut = [vpp_table(d) for d in range(6)]
-        _clear_vpp_caches()
-        monkeypatch.setattr(vpp_module, "_USE_BASIS_SHORTCUT", False)
-        without = [vpp_table(d) for d in range(6)]
-    finally:
-        _clear_vpp_caches()
-    assert without == with_shortcut
+def test_basis_shortcut_matches_full_recursion():
+    # _fiber answers vpp_seam(r) for single-mark factors without summing; the
+    # full sum must agree on every multiset of unit vectors.  Its recursive
+    # calls on fewer lines take the shortcut, so by induction on r this
+    # covers the shortcut at every depth the sum reaches.
+    for r in range(2, 6):
+        units = [tuple(int(line == k) for line in range(r)) for k in range(r)]
+        for k in range(1, 5):
+            for factors in combinations_with_replacement(units, k):
+                full = vpp_module._fiber_sum(r, tuple(sorted(factors)))
+                assert full == vpp_seam(r), (r, factors)
