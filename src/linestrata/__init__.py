@@ -71,7 +71,7 @@ from .charts import (
     pinned_curve,
     transition_check,
 )
-from .vpp import stratum_vpp, vpp, vpp_by_strata, vpp_seam, vpp_table
+from .vpp import stratum_counts, stratum_vpp, vpp, vpp_by_strata, vpp_seam, vpp_table
 
 __version__ = "0.1.0"
 
@@ -128,6 +128,7 @@ __all__ = [
     "vpp",
     "vpp_seam",
     "vpp_table",
+    "stratum_counts",
     "stratum_vpp",
     "vpp_by_strata",
     "__version__",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import factorial, prod
+from operator import sub
 from typing import Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -69,9 +70,36 @@ def _blocks_at_most(v: Vector, bound: Vector) -> Iterator[tuple[Vector, ...]]:
     if not any(v):
         yield ()
         return
-    for block in product(*(range(c, -1, -1) for c in v)):
-        if block > bound or not any(block):
-            continue
-        rest = tuple(c - b for c, b in zip(v, block))
+    for block in _first_blocks(v, bound):
+        rest = tuple(map(sub, v, block))
         for tail in _blocks_at_most(rest, block):
             yield (block,) + tail
+
+
+def _first_blocks(v: Vector, bound: Vector) -> list[Vector]:
+    """The blocks that can open a non-increasing tuple summing to v: every
+    b <= v entrywise and <= bound in lexicographic order that takes a mark
+    of v's first nonzero entry, in decreasing lexicographic order.
+
+    Later blocks are no larger, so they never reach an earlier entry than
+    the first block does; a first block that leaves marks of v's first
+    nonzero entry j could never be completed.  The bound is v itself or the
+    previous block, whose first nonzero entry is at j or before: if before,
+    every such b is below it; if at j, b is compared entry by entry.
+    """
+    j = next(i for i, c in enumerate(v) if c)
+    zeros, w = v[:j], v[j:]
+    ranges = [range(c, -1, -1) for c in w]
+    if any(bound[:j]):
+        ranges[0] = range(w[0], 0, -1)
+        return [zeros + t for t in product(*ranges)]
+    # b = bound itself, then by the first entry k (last first) where b
+    # falls below the bound; up to k, b must stay within v
+    u = bound[j:]
+    fits = next((k for k, (a, c) in enumerate(zip(u, w)) if a > c), len(w))
+    out = [zeros + u] if fits == len(w) else []
+    for k in range(min(fits, len(w) - 1), -1, -1):
+        head = zeros + u[:k]
+        for x in range(min(w[k], u[k] - 1), 0 if k == 0 else -1, -1):
+            out.extend(head + (x,) + t for t in product(*ranges[k + 1 :]))
+    return out

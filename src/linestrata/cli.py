@@ -31,9 +31,9 @@ from .local_models import (
     lattice_span_equal,
     monoid_saturation_witness,
 )
-from .tree_pairs import TreePair, enumerate_tree_pairs, f_vector
+from .tree_pairs import TreePair, enumerate_tree_pairs
 from .trees import StableTree
-from .vpp import vpp, vpp_table
+from .vpp import stratum_counts, vpp, vpp_table
 
 ENUM_GUARD = 12
 VPP_GUARD = 8
@@ -107,7 +107,8 @@ def _exceeds_guard(label: str, size: int, max_size: int | None, guard: int) -> b
 
 def _refuses_enumeration(n: tuple[int, ...], max_size: int | None) -> bool:
     """Report and return True when the strata of type n cannot be
-    enumerated: the type carries no mark, or it exceeds the size guard."""
+    enumerated or counted: the type carries no mark, or it exceeds the size
+    guard."""
     if not any(n):
         _fail("the mark vector must carry at least one mark")
         return True
@@ -123,7 +124,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if _refuses_enumeration(n, args.max_size):
         return 1
-    counts = f_vector(n)
+    counts = stratum_counts(n)
     by_dim = [(d, c) for d, c in enumerate(counts) if c]
     if args.format == "json":
         _emit_json(
@@ -143,7 +144,7 @@ def _cmd_fvector(args: argparse.Namespace) -> int:
     n = args.n
     if _refuses_enumeration(n, args.max_size):
         return 1
-    counts = f_vector(n)
+    counts = stratum_counts(n)
     if args.format == "json":
         _emit_json({"n": list(n), "f_vector": list(counts)})
     else:

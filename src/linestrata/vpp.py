@@ -1,6 +1,5 @@
 """Virtual Poincare polynomials of compactified marked-line moduli.
 
-All values are exact integer polynomials (:class:`~linestrata.exact_poly.UniPoly`).
 The central routine computes the polynomial of a fiber product of marked-line
 spaces over the common line-collision moduli; the polynomial of a single space
 W_n is the one-factor case, and the line-collision moduli itself ("seam"
@@ -11,17 +10,16 @@ root screen:
 
 * each factor independently carries a hierarchy of fully-fused screens (every
   fused level splits its content into at least two sub-screens at distinct
-  heights, weight ``quotient_config_poly(#children)``);
+  heights, weight ``qconfig(#children)``);
 * the leaves of those hierarchies are screens on which the lines separate into
-  a shared partition P with at least two parts (weight
-  ``quotient_config_poly(#P)`` once, since line positions are common to all
-  factors);
+  a shared partition P with at least two parts (weight ``qconfig(#P)`` once,
+  since line positions are common to all factors);
 * on each screen, marks over a single line form height configurations with
   point clusters (cluster of size m contributing the seam polynomial p_m),
   marks over a fat part are distributed into sub-screens whose pooled
   collection forms a smaller fiber product over that part;
 * every screen is taken modulo its two-dimensional reparametrization group,
-  dividing out one factor of x^2 (the division is checked to be exact);
+  dividing out one factor of q = x^2 (the division is checked to be exact);
 * a fat part carrying no marks at all still degenerates the shared base and
   contributes the bare seam polynomial of the part.
 
@@ -32,6 +30,58 @@ partitions of count vectors instead
 of labelled set partitions it stands for: the exponential formula for
 labelled structures.  Only the sum over shared line partitions stays
 labelled, since the lines of a screen are not interchangeable there.
+
+Weight rings
+------------
+Every polynomial of the recursion is a polynomial in q = x^2, built by ``+``
+and ``*`` from integer constants and two primitives, ``config(l, k)`` =
+prod_{i<l} (q - k - i) and ``qconfig(m)`` = prod_{j=2}^{m-1} (q - j), and
+divided by q once per screen.  The recursion therefore runs over any ring
+that supplies ``constant``, ``config``, ``qconfig`` and ``divide`` and has
+native ``+`` and ``*``; the ring is the first argument of every cached
+function, so each ring keeps its own caches.  :class:`IntRing` gives three
+rings with Python-int values.  Each sends a linear factor q - a to
+``radix - slope * a`` and divides a screen out by ``radix``:
+
+* the Kronecker ring (slope 1, radix B = 2^K) evaluates every polynomial at
+  q = B, so each product or sum is one big-integer operation and dividing
+  out s screens is exact division by B^s;
+* the bound ring (radix 1, slope -1) sends a polynomial to the sum of the
+  absolute values of its coefficients, and division is the identity;
+* the dimension-marker ring (slope 0, radix t = 2^K) sends each primitive
+  to t^degree and divides each screen out by t.
+
+Why the bound ring makes the radix safe.  The norm |P| = sum |coefficients|
+satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and a division by q
+leaves it unchanged.  On each primitive it equals the bound-ring value: the
+linear factors q - a have a >= 0, so the product's coefficients alternate in
+sign and |P| = |P(-1)| = prod (1 + a).  So every sub-expression's bound-ring
+value is at least its norm.  Every sub-expression enters the result through
+``+`` and through ``*`` by nonzero integer polynomials (norm >= 1), and all
+bound-ring values are nonnegative, so the result's bound-ring value N bounds
+every coefficient met on the way, the products before each division
+included.  With B = 2^K > 2N, the coefficients are read back from P(B) as
+balanced base-B digits, and B^s divides P(B) exactly when q^s divides P:
+P(B) is congruent mod B^s to sum_{i<s} c_i B^i, whose absolute value is
+below B^s / 2.  A nonzero remainder therefore raises, as a polynomial
+division would.
+
+Why the dimension-marker ring counts strata.  Expand every sum of the
+recursion to its terms: one choice at every level of a partition (of marks
+into groups, screens, clusters and sub-screens, of lines into parts), a
+count-vector partition of multiplicity m standing for m labelled choices.
+Read from the root screen down, a stratum (a seam tree with a screen tree,
+see :mod:`~linestrata.tree_pairs`) makes exactly one such choice at every
+level, and every choice is made by exactly one stratum; the single-line and
+single-mark shortcuts of ``_fiber`` are isomorphisms of stratified spaces.
+The term's weight is then its stratum's polynomial (``stratum_vpp``), a
+product of open configuration spaces: monic of degree the stratum's
+dimension, since ``config(l, k)`` is monic of degree l, ``qconfig(m)`` of
+degree m - 2, and each screen division lowers the degree by one.  Sending
+each primitive to t^degree therefore sends each term to t^dimension, and
+the whole sum to the generating function of the f-vector.  Each term weighs
+at least 1 in the bound ring, so N also bounds every stratum count, and
+with t = 2^K the counts are the digits of the result.
 """
 from __future__ import annotations
 
@@ -47,9 +97,94 @@ __all__ = [
     "vpp_seam",
     "vpp_fiber_product",
     "vpp_table",
+    "stratum_counts",
     "vpp_by_strata",
     "stratum_vpp",
 ]
+
+
+class IntRing:
+    """Integer weights: a linear factor q - a becomes ``radix - slope * a``.
+
+    ``radix`` is ``2**bits``; dividing out s screens divides by
+    ``radix**s`` and raises on a nonzero remainder.  Slope 1 is the Kronecker
+    ring, bits 0 with slope -1 the bound ring, slope 0 the dimension-marker
+    ring.  Rings are interned by :func:`_int_ring`, so that cache keys hash
+    and compare them by identity.
+    """
+
+    __slots__ = ("bits", "radix", "slope")
+
+    def __init__(self, bits: int, slope: int):
+        self.bits = bits
+        self.radix = 1 << bits
+        self.slope = slope
+
+    def constant(self, c: int) -> int:
+        return c
+
+    @lru_cache(maxsize=None)
+    def config(self, ell: int, k: int) -> int:
+        """``config_poly(ell, k)``: prod_{i<ell} (q - k - i)."""
+        out = 1
+        for a in range(k, k + ell):
+            out *= self.radix - self.slope * a
+        return out
+
+    @lru_cache(maxsize=None)
+    def qconfig(self, m: int) -> int:
+        """``quotient_config_poly(m)``: prod_{j=2}^{m-1} (q - j)."""
+        return self.config(max(m - 2, 0), 2)
+
+    def divide(self, value: int, screens: int) -> int:
+        """value / q**screens, which must be exact."""
+        shift = self.bits * screens
+        if value & ((1 << shift) - 1):
+            raise ValueError(f"weight {value} is not divisible by q^{screens}")
+        return value >> shift
+
+
+@lru_cache(maxsize=None)
+def _int_ring(bits: int, slope: int) -> IntRing:
+    return IntRing(bits, slope)
+
+
+def _radix_bits(bound: int) -> int:
+    """The smallest multiple K of 64 with 2**(K - 1) > bound."""
+    return 64 * ((bound.bit_length() + 64) // 64)
+
+
+def _digits(value: int, bits: int) -> list[int]:
+    """Balanced base-2**bits digits of value, lowest first."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
+
+
+def _evaluate(jobs: Sequence[tuple[int, tuple[Vector, ...]]], slope: int) -> list[list[int]]:
+    """The q-coefficients, lowest first, of the fiber products
+    ``_fiber(r, factors)`` named by jobs, computed in the integer ring of the
+    given slope (1: polynomials, 0: stratum counts by dimension) at one radix
+    wide enough for all of them."""
+    bound_ring = _int_ring(0, -1)
+    bound = max(_fiber(bound_ring, r, factors) for r, factors in jobs)
+    bits = _radix_bits(bound)
+    if bound >> (bits - 1):
+        raise ValueError(f"radix 2^{bits} is too small for coefficients up to {bound}")
+    ring = _int_ring(bits, slope)
+    return [_digits(_fiber(ring, r, factors), bits) for r, factors in jobs]
+
+
+def _poly(coeffs: list[int]) -> UniPoly:
+    """The polynomial in x with the given coefficients in q = x^2."""
+    return UniPoly([c for q_coeff in coeffs for c in (q_coeff, 0)])
+
 
 @lru_cache(maxsize=None)
 def vpp_seam(r: int) -> UniPoly:
@@ -61,15 +196,21 @@ def vpp_seam(r: int) -> UniPoly:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
+    return _poly(_evaluate([(r, ())], 1)[0])
+
+
+@lru_cache(maxsize=None)
+def _seam(ring, r: int):
+    """vpp_seam(r) in the given ring."""
     if r <= 2:
-        return UniPoly.one()
-    total = UniPoly.zero()
+        return ring.constant(1)
+    total = ring.constant(0)
     for blocks, mult in vector_partitions((r,)):
         if len(blocks) < 2:
             continue
-        term = UniPoly.constant(mult) * quotient_config_poly(len(blocks))
+        term = ring.constant(mult) * ring.qconfig(len(blocks))
         for (size,) in blocks:
-            term = term * vpp_seam(size)
+            term = term * _seam(ring, size)
         total = total + term
     return total
 
@@ -84,68 +225,67 @@ def _validate_vector(v: Sequence[int], r: int) -> Vector:
 
 
 @lru_cache(maxsize=None)
-def _screen_distribution(v: Vector) -> tuple[tuple[tuple[Vector, ...], UniPoly], ...]:
+def _screen_distribution(ring, v: Vector) -> tuple[tuple[tuple[Vector, ...], object], ...]:
     """Weighted multisets of screens a single factor can present to the root.
 
     A factor either opens directly as one screen carrying all its marks, or
     fuses at the top: the fused level splits the marks into at least two
-    groups at distinct heights (weight quotient_config_poly(#groups)), each
-    group recursively presenting its own screens.
+    groups at distinct heights (weight qconfig(#groups)), each group
+    recursively presenting its own screens.
     """
-    out: dict[tuple[Vector, ...], UniPoly] = {(v,): UniPoly.one()}
+    out = {(v,): ring.constant(1)}
     for blocks, mult in vector_partitions(v):
         if len(blocks) < 2:
             continue
-        weight = UniPoly.constant(mult) * quotient_config_poly(len(blocks))
-        for screens, w in _pool([_screen_distribution(b) for b in blocks]).items():
-            out[screens] = out.get(screens, UniPoly.zero()) + weight * w
+        weight = ring.constant(mult) * ring.qconfig(len(blocks))
+        for screens, w in _pool([_screen_distribution(ring, b) for b in blocks]).items():
+            term = weight * w
+            out[screens] = out[screens] + term if screens in out else term
     return tuple(sorted(out.items(), key=lambda kv: kv[0]))
 
 
 @lru_cache(maxsize=None)
-def _point_factor(c: int) -> UniPoly:
+def _point_factor(ring, c: int):
     """Height moduli of c marks on one line of a screen.
 
     Sum over clusterings: the clusters sit at distinct heights avoiding
-    nothing (config_poly(#clusters, 0)); a cluster of size m carries the
+    nothing (config(#clusters, 0)); a cluster of size m carries the
     collapsed moduli p_m of its bubble.
     """
-    total = UniPoly.zero()
+    total = ring.constant(0)
     for blocks, mult in vector_partitions((c,)):
-        term = UniPoly.constant(mult) * config_poly(len(blocks), 0)
+        term = ring.constant(mult) * ring.config(len(blocks), 0)
         for (size,) in blocks:
-            term = term * vpp_seam(size)
+            term = term * _seam(ring, size)
         total = total + term
     return total
 
 
-def _fat_part_factor(part: tuple[int, ...], screens: tuple[Vector, ...]) -> UniPoly:
+def _fat_part_factor(ring, part: tuple[int, ...], screens: tuple[Vector, ...]):
     """Contribution of a part with >= 2 lines across all screens.
 
     Each screen distributes its marks over the part into sub-screens at
-    distinct heights (config_poly(#sub-screens, 0)); the pooled sub-screens
-    form a fiber product over the part's own collision moduli.
+    distinct heights (config(#sub-screens, 0)); the pooled sub-screens form
+    a fiber product over the part's own collision moduli.
     """
     m = len(part)
-    options = [_sub_screens(tuple(s[line - 1] for line in part)) for s in screens]
-    total = UniPoly.zero()
+    options = [_sub_screens(ring, tuple(s[line - 1] for line in part)) for s in screens]
+    total = ring.constant(0)
     for pooled, weight in _pool(options).items():
-        total = total + weight * _fiber(m, pooled)
+        total = total + weight * _fiber(ring, m, pooled)
     return total
 
 
 @lru_cache(maxsize=None)
-def _sub_screens(sub: Vector) -> tuple[tuple[tuple[Vector, ...], UniPoly], ...]:
+def _sub_screens(ring, sub: Vector) -> tuple[tuple[tuple[Vector, ...], object], ...]:
     """Weighted ways for one screen to split its marks into sub-screens."""
     return tuple(
-        (blocks, UniPoly.constant(mult) * config_poly(len(blocks), 0))
+        (blocks, ring.constant(mult) * ring.config(len(blocks), 0))
         for blocks, mult in vector_partitions(sub)
     )
 
 
-def _pool(
-    options: Sequence[Sequence[tuple[tuple[Vector, ...], UniPoly]]]
-) -> dict[tuple[Vector, ...], UniPoly]:
+def _pool(options: Sequence[Sequence[tuple[tuple[Vector, ...], object]]]) -> dict:
     """Sum over one weighted choice of vectors per entry of nonempty options.
 
     A choice weighs the product of its entries' weights.  Choices that pool
@@ -161,66 +301,64 @@ def _pool(
             for vectors, weight in combos
             for vs, w in choices
         ]
-    pooled: dict[tuple[Vector, ...], UniPoly] = {}
+    pooled: dict = {}
     for vectors, weight in combos:
         key = tuple(sorted(vectors))
-        pooled[key] = pooled.get(key, UniPoly.zero()) + weight
+        pooled[key] = pooled[key] + weight if key in pooled else weight
     return pooled
 
 
-def _part_factor(part: tuple[int, ...], screens: tuple[Vector, ...]) -> UniPoly:
+def _part_factor(ring, part: tuple[int, ...], screens: tuple[Vector, ...]):
     """Contribution of one part of the shared line partition."""
     if len(part) > 1:
-        return _fat_part_factor(part, screens)
-    out = UniPoly.one()
+        return _fat_part_factor(ring, part, screens)
+    out = ring.constant(1)
     for s in screens:
-        out = out * _point_factor(s[part[0] - 1])
+        out = out * _point_factor(ring, s[part[0] - 1])
     return out
 
 
 @lru_cache(maxsize=None)
-def _all_root(r: int, screens: tuple[Vector, ...]) -> UniPoly:
+def _all_root(ring, r: int, screens: tuple[Vector, ...]):
     """Sum over shared line partitions for a fixed pooled screen multiset."""
     # a part's factor does not depend on the rest of the partition
-    factors: dict[tuple[int, ...], UniPoly] = {}
-    total = UniPoly.zero()
+    factors: dict = {}
+    total = ring.constant(0)
     for parts in set_partitions(list(range(1, r + 1))):
         if len(parts) < 2:
             continue
         keys = [tuple(part) for part in parts]
         for key in keys:
             if key not in factors:
-                factors[key] = _part_factor(key, screens)
+                factors[key] = _part_factor(ring, key, screens)
         prod = reduce(mul, (factors[key] for key in keys))
-        # one x^2 of screen reparametrizations divided out per screen; the
+        # one q of screen reparametrizations divided out per screen; the
         # division must be exact
-        total = total + quotient_config_poly(len(parts)) * prod.shift_down(
-            2 * len(screens)
-        )
+        total = total + ring.qconfig(len(parts)) * ring.divide(prod, len(screens))
     return total
 
 
 @lru_cache(maxsize=None)
-def _fiber(r: int, factors: tuple[Vector, ...]) -> UniPoly:
+def _fiber(ring, r: int, factors: tuple[Vector, ...]):
     if r == 1:
-        out = UniPoly.one()
+        out = ring.constant(1)
         for f in factors:
-            out = out * vpp_seam(sum(f) if sum(f) >= 1 else 1)
+            out = out * _seam(ring, sum(f) if sum(f) >= 1 else 1)
         return out
     if all(sum(f) == 1 for f in factors):
         # a single-mark factor is isomorphic to the base, so the fiber
         # product of none or only such factors is the base itself
-        return vpp_seam(r)
-    return _fiber_sum(r, factors)
+        return _seam(ring, r)
+    return _fiber_sum(ring, r, factors)
 
 
-def _fiber_sum(r: int, factors: tuple[Vector, ...]) -> UniPoly:
+def _fiber_sum(ring, r: int, factors: tuple[Vector, ...]):
     """The fiber product of nonempty factors over r >= 2 lines, summed over
     the pooled screen multisets the factors present to the root."""
-    pooled = _pool([_screen_distribution(f) for f in factors])
-    total = UniPoly.zero()
+    pooled = _pool([_screen_distribution(ring, f) for f in factors])
+    total = ring.constant(0)
     for screens, weight in sorted(pooled.items(), key=lambda kv: kv[0]):
-        total = total + weight * _all_root(r, screens)
+        total = total + weight * _all_root(ring, r, screens)
     return total
 
 
@@ -237,21 +375,37 @@ def vpp_fiber_product(r: int, factors: Iterable[Sequence[int]]) -> UniPoly:
     for f in fs:
         if sum(f) == 0:
             raise ValueError(f"factor {f} carries no marks")
-    return _fiber(r, tuple(sorted(fs)))
+    return _poly(_evaluate([(r, tuple(sorted(fs)))], 1)[0])
 
 
-def vpp(n: Sequence[int]) -> UniPoly:
-    """Polynomial of the space of r marked lines with n_i marks on line i."""
+def _job(n: Sequence[int]) -> tuple[int, tuple[Vector, ...]]:
+    """The fiber product (r, factors) of the space of type n."""
     nt = tuple(int(c) for c in n)
     if not nt:
         raise ValueError("n must have at least one entry")
     if any(c < 0 for c in nt):
         raise ValueError(f"{nt} has a negative entry")
-    r = len(nt)
     if sum(nt) == 0:
-        return vpp_seam(r)
+        return len(nt), ()
     # relabeling the lines is an isomorphism, so sort for the cache
-    return _fiber(r, (tuple(sorted(nt)),))
+    return len(nt), (tuple(sorted(nt)),)
+
+
+def vpp(n: Sequence[int]) -> UniPoly:
+    """Polynomial of the space of r marked lines with n_i marks on line i."""
+    return _poly(_evaluate([_job(n)], 1)[0])
+
+
+def stratum_counts(n: Sequence[int]) -> list[int]:
+    """Stratum counts by dimension, starting at dimension 0, for the type n.
+
+    The recursion in the dimension-marker ring; it equals
+    :func:`~linestrata.tree_pairs.f_vector`, which enumerates the strata.
+    """
+    r, factors = _job(n)
+    if not factors:
+        raise ValueError("the mark vector must carry at least one mark")
+    return _evaluate([(r, factors)], 0)[0]
 
 
 def _ascending_vectors(r: int, total: int) -> list[Vector]:
@@ -276,18 +430,19 @@ def vpp_table(d: int) -> list[tuple[Vector, UniPoly]]:
     """All rows of dimension d: weakly increasing n with |n| + r = d + 3.
 
     Rows are grouped by increasing r and ordered lexicographically within
-    each group, matching the published table layout.
+    each group, matching the published table layout.  All rows share one
+    radix, and with it the cached parts of their recursions.
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    rows: list[tuple[Vector, UniPoly]] = []
+    types: list[Vector] = []
     for r in range(1, d + 3):
         total = d + 3 - r
         if total < 1:
             break
-        for n in _ascending_vectors(r, total):
-            rows.append((n, vpp(n)))
-    return rows
+        types.extend(_ascending_vectors(r, total))
+    rows = _evaluate([_job(n) for n in types], 1)
+    return [(n, _poly(coeffs)) for n, coeffs in zip(types, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,16 @@ def test_fvector(capsys):
     assert out == "[4, 5, 1]\n"
 
 
+def test_fvector_counts_without_enumerating(capsys):
+    # enumerating the strata of this type does not fit in 8 GB
+    assert run(["fvector", "1,1,1,1,1"]) == 0
+    out, _ = out_of(capsys)
+    assert out == "[33675, 118050, 159660, 103925, 32985, 4540, 196, 1]\n"
+    assert run(["enumerate", "1,1,1,1,1", "--format", "json"]) == 0
+    payload = json.loads(out_of(capsys)[0])
+    assert payload["total"] == 453032
+
+
 def test_vpp_table_pretty(capsys):
     assert run(["vpp-table", "2"]) == 0
     out, _ = out_of(capsys)

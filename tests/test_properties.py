@@ -1,8 +1,11 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
-vpp symmetry, the lattice checks against sympy's normal forms, and chart
+the Kronecker ring's decoding and division, vpp symmetry, the JSON round trip
+of strata, the lattice checks against sympy's normal forms, and chart
 evaluation against the symbolic gluing polynomials."""
 
+import importlib
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -29,8 +32,11 @@ from linestrata.exact_poly import (
     multi_eval,
 )
 from linestrata.local_models import lattice_is_saturated, lattice_span_equal
+from linestrata.tree_pairs import TreePair, enumerate_tree_pairs
 from linestrata.trees import StableTree, glue_tree
-from linestrata.vpp import vpp, vpp_fiber_product
+from linestrata.vpp import stratum_counts, vpp, vpp_fiber_product
+
+vpp_module = importlib.import_module("linestrata.vpp")
 
 
 def _bell(n: int) -> int:
@@ -60,6 +66,8 @@ def test_vector_partitions_match_labelled_set_partitions(v):
     assert dict(partitions) == counts
     assert len(partitions) == len(counts)
     assert all(list(blocks) == sorted(blocks, reverse=True) for blocks, _ in partitions)
+    # in decreasing lexicographic order of the block tuples
+    assert [b for b, _ in partitions] == sorted(counts, reverse=True)
     assert sum(mult for _, mult in partitions) == _bell(sum(v))
 
 
@@ -87,6 +95,28 @@ def test_unipoly_ring_laws(p, q, r):
     assert p + zero == p and p * one == p
     assert (p * zero).is_zero()
     assert (p - p).is_zero()
+
+
+# coefficients of up to 64 bits against a radix of 2^64 or 2^128
+wide_coeff_lists = st.lists(st.integers(-(2**63) + 1, 2**63 - 1), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_coeff_lists, st.sampled_from([64, 128]), st.integers(0, 4))
+def test_kronecker_decoding_and_division(cs, bits, screens):
+    # a polynomial in q with |coefficients| < 2^(bits-1), evaluated at
+    # q = 2^bits, decodes back, and divides by q^screens exactly when its
+    # screens lowest coefficients vanish
+    while cs and cs[-1] == 0:
+        cs.pop()
+    ring = vpp_module._int_ring(bits, 1)
+    value = sum(c << (bits * i) for i, c in enumerate(cs))
+    assert vpp_module._digits(value, bits) == cs
+    if any(cs[:screens]):
+        with pytest.raises(ValueError, match="not divisible"):
+            ring.divide(value, screens)
+    else:
+        assert vpp_module._digits(ring.divide(value, screens), bits) == cs[screens:]
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,6 +168,48 @@ def test_vpp_invariant_under_line_permutation(n, rng):
     if any(n):
         # vpp sorts the lines before recursing; the fiber product does not
         assert vpp_fiber_product(len(n), [shuffled]) == vpp(n)
+        assert stratum_counts(shuffled) == stratum_counts(n)
+
+
+@cache
+def _strata(n):
+    return enumerate_tree_pairs(n)
+
+
+def _shuffled_screen(comp: dict, rng) -> dict:
+    """The JSON screen with its lines, seams and children shuffled at every
+    level."""
+    seams = []
+    for seam in comp["seams"]:
+        children = [
+            child if "mark" in child else _shuffled_screen(child, rng)
+            for child in seam["children"]
+        ]
+        rng.shuffle(children)
+        lines = list(seam["lines"])
+        rng.shuffle(lines)
+        seams.append({"lines": lines, "children": children})
+    rng.shuffle(seams)
+    lines = list(comp["lines"])
+    rng.shuffle(lines)
+    return {"lines": lines, "seams": seams}
+
+
+marked_types = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+    lambda n: any(n) and sum(n) + len(n) <= 6
+).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_types, st.integers(0, 10**6), st.randoms(use_true_random=False))
+def test_tree_pair_json_round_trip_ignores_order(n, pick, rng):
+    strata = _strata(n)
+    tp = strata[pick % len(strata)]
+    data = tp.to_json()
+    data["bubble_tree"] = _shuffled_screen(data["bubble_tree"], rng)
+    parsed = TreePair.from_json(data)
+    assert parsed == tp
+    assert parsed.canonical_key() == tp.canonical_key()
 
 
 def _sympy_span_equal(a, b) -> bool:

@@ -13,9 +13,11 @@ from math import comb
 import pytest
 
 from linestrata.cli import run
-from linestrata.exact_poly import UniPoly
-from linestrata.tree_pairs import enumerate_tree_pairs
+from linestrata.exact_poly import UniPoly, config_poly, quotient_config_poly
+from linestrata.tree_pairs import enumerate_tree_pairs, f_vector
 from linestrata.vpp import (
+    IntRing,
+    stratum_counts,
     stratum_vpp,
     vpp,
     vpp_by_strata,
@@ -26,6 +28,33 @@ from linestrata.vpp import (
 
 # the package attribute linestrata.vpp is the function, so fetch the module
 vpp_module = importlib.import_module("linestrata.vpp")
+
+
+class PolyRing:
+    """The reference backend: the recursion over UniPoly, with schoolbook
+    arithmetic and polynomial division."""
+
+    def constant(self, c):
+        return UniPoly.constant(c)
+
+    def config(self, ell, k):
+        return config_poly(ell, k)
+
+    def qconfig(self, m):
+        return quotient_config_poly(m)
+
+    def divide(self, value, screens):
+        return value.shift_down(2 * screens)
+
+
+POLY = PolyRing()
+# the reference, bound, Kronecker and dimension-marker rings
+RINGS = [
+    POLY,
+    vpp_module._int_ring(0, -1),
+    vpp_module._int_ring(64, 1),
+    vpp_module._int_ring(64, 0),
+]
 
 # dimension-2 types (coeffs ascending)
 TABLE_D2 = {
@@ -201,13 +230,87 @@ def test_vpp_fiber_product():
 
 
 def test_basis_shortcut_matches_full_recursion():
-    # _fiber answers vpp_seam(r) for single-mark factors without summing; the
-    # full sum must agree on every multiset of unit vectors.  Its recursive
-    # calls on fewer lines take the shortcut, so by induction on r this
-    # covers the shortcut at every depth the sum reaches.
-    for r in range(2, 6):
-        units = [tuple(int(line == k) for line in range(r)) for k in range(r)]
-        for k in range(1, 5):
-            for factors in combinations_with_replacement(units, k):
-                full = vpp_module._fiber_sum(r, tuple(sorted(factors)))
-                assert full == vpp_seam(r), (r, factors)
+    # _fiber answers the seam for single-mark factors without summing; the
+    # full sum must agree on every multiset of unit vectors, in every ring,
+    # so the shortcut also counts strata right.  Its recursive calls on fewer
+    # lines take the shortcut, so by induction on r this covers the shortcut
+    # at every depth the sum reaches.
+    for ring in RINGS:
+        for r in range(2, 6):
+            units = [tuple(int(line == k) for line in range(r)) for k in range(r)]
+            for k in range(1, 5):
+                for factors in combinations_with_replacement(units, k):
+                    full = vpp_module._fiber_sum(ring, r, tuple(sorted(factors)))
+                    assert full == vpp_module._seam(ring, r), (ring, r, factors)
+
+
+def _types(max_size):
+    """Every marked type with weakly increasing n and |n| + r <= max_size."""
+    return [
+        n
+        for size in range(2, max_size + 1)
+        for r in range(1, size)
+        for n in vpp_module._ascending_vectors(r, size - r)
+        if any(n)
+    ]
+
+
+def test_reference_backend_agrees():
+    # the polynomial ring decoded from one big integer equals the schoolbook
+    # recursion
+    for n in _types(8):
+        assert vpp_module._fiber(POLY, *vpp_module._job(n)) == vpp(n), n
+    for r in range(1, 9):
+        assert vpp_module._fiber(POLY, r, ()) == vpp_seam(r), r
+    factors = ((0, 1, 1), (1, 1, 0), (2, 0, 1))
+    assert vpp_module._fiber(POLY, 3, factors) == vpp_fiber_product(3, factors)
+
+
+def test_stratum_counts_match_enumeration():
+    cases = _types(7)
+    assert len(cases) == 37
+    for n in cases:
+        assert stratum_counts(n) == f_vector(n), n
+    with pytest.raises(ValueError, match="at least one mark"):
+        stratum_counts((0, 0))
+
+
+class _Skewed(IntRing):
+    """config(1, 0) is q + 1 instead of q, so a screen over a single mark
+    no longer divides out."""
+
+    def config(self, ell, k):
+        return super().config(ell, k) + (ell == 1 and k == 0)
+
+
+@pytest.mark.parametrize("slope", [1, 0], ids=["kronecker", "dimension"])
+def test_inexact_screen_division_raises(slope):
+    ring = _Skewed(64, slope)
+    with pytest.raises(ValueError, match="not divisible by q"):
+        vpp_module._fiber(ring, 2, ((1, 1),))
+
+
+def test_too_small_radix_is_refused(monkeypatch):
+    monkeypatch.setattr(vpp_module, "_radix_bits", lambda bound: 8)
+    with pytest.raises(ValueError, match="radix 2\\^8 is too small"):
+        vpp((2, 2))
+    with pytest.raises(ValueError, match="radix 2\\^8 is too small"):
+        stratum_counts((2, 2))
+
+
+def test_schoolbook_arithmetic_stays_off_the_hot_path(monkeypatch, capsys):
+    for value in vars(vpp_module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+    def refuse(self, other):
+        raise AssertionError("schoolbook UniPoly arithmetic in the recursion")
+
+    monkeypatch.setattr(UniPoly, "__mul__", refuse)
+    monkeypatch.setattr(UniPoly, "__add__", refuse)
+    assert vpp((2, 2, 1)).degree == 10
+    assert run(["vpp-table", "4"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[4]
+    assert run(["fvector", "2,2"]) == 0
+    assert capsys.readouterr().out == "[22, 37, 16, 1]\n"
