@@ -51,20 +51,33 @@ rings with Python-int values.  Each sends a linear factor q - a to
 * the dimension-marker ring (slope 0, radix t = 2^K) sends each primitive
   to t^degree and divides each screen out by t.
 
-Why the bound ring makes the radix safe.  The norm |P| = sum |coefficients|
-satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and a division by q
-leaves it unchanged.  On each primitive it equals the bound-ring value: the
-linear factors q - a have a >= 0, so the product's coefficients alternate in
-sign and |P| = |P(-1)| = prod (1 + a).  So every sub-expression's bound-ring
-value is at least its norm.  Every sub-expression enters the result through
-``+`` and through ``*`` by nonzero integer polynomials (norm >= 1), and all
-bound-ring values are nonnegative, so the result's bound-ring value N bounds
-every coefficient met on the way, the products before each division
-included.  With B = 2^K > 2N, the coefficients are read back from P(B) as
-balanced base-B digits, and B^s divides P(B) exactly when q^s divides P:
-P(B) is congruent mod B^s to sum_{i<s} c_i B^i, whose absolute value is
-below B^s / 2.  A nonzero remainder therefore raises, as a polynomial
-division would.
+The recursion runs once, in a :class:`BoundedRing`, whose values carry a
+bound-ring value next to a Kronecker or dimension-marker value.
+
+Why one pass with the bound carried is safe.  The norm |P| = sum
+|coefficients| satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and a
+division by q leaves it unchanged.  On each primitive it equals the
+bound-ring value: the linear factors q - a have a >= 0, so the product's
+coefficients alternate in sign and |P| = |P(-1)| = prod (1 + a).  So the
+bound carried with every value is at least that value's norm.  With
+B = 2^K > 2N, where N bounds the coefficients of P, the coefficients are
+read back from P(B) as balanced base-B digits, and B^s divides P(B) exactly
+when q^s divides P: P(B) is congruent mod B^s to sum_{i<s} c_i B^i, whose
+absolute value is below B^s / 2.  So each division first checks its own
+carried bound against 2^(K-1), and only then the remainder, which raises
+on a nonzero remainder as a polynomial division would; a bound too large
+aborts the pass instead.  Every sub-expression enters a result through
+``+`` and through ``*`` by nonzero integer polynomials (bound >= 1), and
+all bounds are nonnegative, so bounds only grow on the way up: a result's
+bound N is at least every bound met below it, and a final N < 2^(K-1)
+certifies every division of the pass as well as the decoding.  The pass
+starts at K = 64.  When the final N is too large, it runs once more at the
+smallest multiple K of 64 with 2^(K-1) > N, which then certifies it.  When
+a division aborts, the final N is not known yet and may be larger still, so
+the pass runs again at that radix for the aborting bound or at 2K, whichever
+is larger.  So at most 2 + log2(K/64) passes run, K the radix that
+succeeds.  No input within the command-line size guards needs more than the
+first pass.
 
 Why the dimension-marker ring counts strata.  Expand every sum of the
 recursion to its terms: one choice at every level of a partition (of marks
@@ -149,6 +162,69 @@ def _int_ring(bits: int, slope: int) -> IntRing:
     return IntRing(bits, slope)
 
 
+class Bounded:
+    """A weight with its bound: ``bound`` in the bound ring, ``value`` in an
+    :class:`IntRing`."""
+
+    __slots__ = ("bound", "value")
+
+    def __init__(self, bound: int, value: int):
+        self.bound = bound
+        self.value = value
+
+    def __add__(self, other: Bounded) -> Bounded:
+        return Bounded(self.bound + other.bound, self.value + other.value)
+
+    def __mul__(self, other: Bounded) -> Bounded:
+        return Bounded(self.bound * other.bound, self.value * other.value)
+
+
+class _RadixTooSmall(Exception):
+    """A division met a bound of at least half the radix."""
+
+    def __init__(self, bound: int):
+        super().__init__(bound)
+        self.bound = bound
+
+
+class BoundedRing:
+    """An :class:`IntRing` run together with the bound ring.
+
+    Each division checks its carried bound before the remainder: a bound of
+    at least half the radix raises :class:`_RadixTooSmall`, since the
+    remainder check would no longer be exact.  Rings are interned by
+    :func:`_bounded_ring`.
+    """
+
+    __slots__ = ("ring", "bound_ring")
+
+    def __init__(self, ring: IntRing):
+        self.ring = ring
+        self.bound_ring = _int_ring(0, -1)
+
+    def constant(self, c: int) -> Bounded:
+        return Bounded(c, c)
+
+    @lru_cache(maxsize=None)
+    def config(self, ell: int, k: int) -> Bounded:
+        return Bounded(self.bound_ring.config(ell, k), self.ring.config(ell, k))
+
+    @lru_cache(maxsize=None)
+    def qconfig(self, m: int) -> Bounded:
+        return Bounded(self.bound_ring.qconfig(m), self.ring.qconfig(m))
+
+    def divide(self, value: Bounded, screens: int) -> Bounded:
+        """value / q**screens, which must be exact; the bound is kept."""
+        if value.bound >> (self.ring.bits - 1):
+            raise _RadixTooSmall(value.bound)
+        return Bounded(value.bound, self.ring.divide(value.value, screens))
+
+
+@lru_cache(maxsize=None)
+def _bounded_ring(bits: int, slope: int) -> BoundedRing:
+    return BoundedRing(_int_ring(bits, slope))
+
+
 def _radix_bits(bound: int) -> int:
     """The smallest multiple K of 64 with 2**(K - 1) > bound."""
     return 64 * ((bound.bit_length() + 64) // 64)
@@ -171,14 +247,26 @@ def _evaluate(jobs: Sequence[tuple[int, tuple[Vector, ...]]], slope: int) -> lis
     """The q-coefficients, lowest first, of the fiber products
     ``_fiber(r, factors)`` named by jobs, computed in the integer ring of the
     given slope (1: polynomials, 0: stratum counts by dimension) at one radix
-    wide enough for all of them."""
-    bound_ring = _int_ring(0, -1)
-    bound = max(_fiber(bound_ring, r, factors) for r, factors in jobs)
-    bits = _radix_bits(bound)
-    if bound >> (bits - 1):
-        raise ValueError(f"radix 2^{bits} is too small for coefficients up to {bound}")
-    ring = _int_ring(bits, slope)
-    return [_digits(_fiber(ring, r, factors), bits) for r, factors in jobs]
+    wide enough for all of them, certified by the bounds carried along."""
+    bits = _radix_bits(0)
+    while True:
+        ring = _bounded_ring(bits, slope)
+        aborted = False
+        try:
+            values = [_fiber(ring, r, factors) for r, factors in jobs]
+            bound = max(v.bound for v in values)
+        except _RadixTooSmall as exc:
+            bound, aborted = exc.bound, True
+        if not bound >> (bits - 1):
+            return [_digits(v.value, bits) for v in values]
+        wider = _radix_bits(bound)
+        if wider <= bits:
+            # unreachable while _radix_bits(bound) has 2^(K-1) > bound: a
+            # guard against a radix that would never grow
+            raise ValueError(f"radix 2^{bits} is too small for coefficients up to {bound}")
+        # the final bound of an aborted pass is unknown: at least double the
+        # radix, so that the number of passes stays logarithmic in it
+        bits = max(wider, 2 * bits) if aborted else wider
 
 
 def _poly(coeffs: list[int]) -> UniPoly:
@@ -261,15 +349,16 @@ def _point_factor(ring, c: int):
     return total
 
 
-def _fat_part_factor(ring, part: tuple[int, ...], screens: tuple[Vector, ...]):
-    """Contribution of a part with >= 2 lines across all screens.
+@lru_cache(maxsize=None)
+def _fat_part(ring, m: int, subs: tuple[Vector, ...]):
+    """Contribution of a part of m >= 2 lines across all screens, given
+    each screen's marks over the part, sorted.
 
     Each screen distributes its marks over the part into sub-screens at
     distinct heights (config(#sub-screens, 0)); the pooled sub-screens form
     a fiber product over the part's own collision moduli.
     """
-    m = len(part)
-    options = [_sub_screens(ring, tuple(s[line - 1] for line in part)) for s in screens]
+    options = [_sub_screens(ring, sub) for sub in subs]
     total = ring.constant(0)
     for pooled, weight in _pool(options).items():
         total = total + weight * _fiber(ring, m, pooled)
@@ -311,7 +400,9 @@ def _pool(options: Sequence[Sequence[tuple[tuple[Vector, ...], object]]]) -> dic
 def _part_factor(ring, part: tuple[int, ...], screens: tuple[Vector, ...]):
     """Contribution of one part of the shared line partition."""
     if len(part) > 1:
-        return _fat_part_factor(ring, part, screens)
+        # the factor sees only the screens' marks over the part, as a multiset
+        subs = tuple(sorted(tuple(s[line - 1] for line in part) for s in screens))
+        return _fat_part(ring, len(part), subs)
     out = ring.constant(1)
     for s in screens:
         out = out * _point_factor(ring, s[part[0] - 1])

@@ -1,7 +1,8 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
-the Kronecker ring's decoding and division, vpp symmetry, the JSON round trip
-of strata, the lattice checks against sympy's normal forms, and chart
-evaluation against the symbolic gluing polynomials."""
+the Kronecker ring's decoding and division, the bounded ring against its two
+components, vpp symmetry, the JSON round trip of strata, the lattice checks
+against sympy's normal forms, and chart evaluation against the symbolic
+gluing polynomials."""
 
 import importlib
 from fractions import Fraction
@@ -126,6 +127,26 @@ def test_trusted_constructor_agrees(cs):
     assert trusted == UniPoly(cs)
     assert type(trusted.coeffs) is tuple
     assert not trusted.coeffs or trusted.coeffs[-1] != 0
+
+
+@st.composite
+def fiber_jobs(draw):
+    """A small fiber product (r, factors): up to three lines, up to three
+    factors of up to four marks each, sorted as the recursion expects."""
+    r = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(0, 2), min_size=r, max_size=r).map(tuple)
+    factors = draw(st.lists(vector.filter(lambda v: 1 <= sum(v) <= 4), max_size=3))
+    return r, tuple(sorted(factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fiber_jobs(), st.sampled_from([1, 0]))
+def test_bounded_ring_carries_both_rings(job, slope):
+    # one pass in the bounded ring gives what two passes give in the bound
+    # ring and in the Kronecker or dimension-marker ring
+    both = vpp_module._fiber(vpp_module._bounded_ring(64, slope), *job)
+    assert both.bound == vpp_module._fiber(vpp_module._int_ring(0, -1), *job)
+    assert both.value == vpp_module._fiber(vpp_module._int_ring(64, slope), *job)
 
 
 monomials = st.dictionaries(st.sampled_from("abc"), st.integers(0, 2), max_size=3).map(

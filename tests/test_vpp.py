@@ -283,11 +283,20 @@ class _Skewed(IntRing):
         return super().config(ell, k) + (ell == 1 and k == 0)
 
 
-@pytest.mark.parametrize("slope", [1, 0], ids=["kronecker", "dimension"])
-def test_inexact_screen_division_raises(slope):
-    ring = _Skewed(64, slope)
-    with pytest.raises(ValueError, match="not divisible by q"):
-        vpp_module._fiber(ring, 2, ((1, 1),))
+@pytest.mark.parametrize(
+    "make_ring",
+    [
+        lambda: _Skewed(64, 1),
+        lambda: _Skewed(64, 0),
+        lambda: vpp_module.BoundedRing(_Skewed(64, 1)),
+    ],
+    ids=["kronecker", "dimension", "bounded"],
+)
+def test_inexact_screen_division_raises(make_ring):
+    # in the bounded ring the bound is far below the radix, so the remainder
+    # is checked and a genuine one raises
+    with pytest.raises(ValueError, match="not divisible by q\\^"):
+        vpp_module._fiber(make_ring(), 2, ((1, 1),))
 
 
 def test_too_small_radix_is_refused(monkeypatch):
@@ -298,10 +307,71 @@ def test_too_small_radix_is_refused(monkeypatch):
         stratum_counts((2, 2))
 
 
-def test_schoolbook_arithmetic_stays_off_the_hot_path(monkeypatch, capsys):
+def _clear_caches():
     for value in vars(vpp_module).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+
+
+def test_undersized_first_radix_retries(monkeypatch):
+    # a first radix of 2^8 is too small for all three: the polynomial passes
+    # abort at a division, the count pass ends with too large a bound, and
+    # each runs again at the radix its bound asks for
+    expected = (vpp((2, 2, 2, 2)), vpp_table(5), stratum_counts((2, 2)))
+    radix_bits = vpp_module._radix_bits
+    monkeypatch.setattr(
+        vpp_module, "_radix_bits", lambda bound: 8 if bound == 0 else radix_bits(bound)
+    )
+    aborted_slopes = []
+    divide = vpp_module.BoundedRing.divide
+
+    def recording_divide(ring, value, screens):
+        try:
+            return divide(ring, value, screens)
+        except vpp_module._RadixTooSmall:
+            aborted_slopes.append(ring.ring.slope)
+            raise
+
+    monkeypatch.setattr(vpp_module.BoundedRing, "divide", recording_divide)
+    _clear_caches()
+    assert (vpp((2, 2, 2, 2)), vpp_table(5), stratum_counts((2, 2))) == expected
+    assert set(aborted_slopes) == {1}
+    # rings of 2^8 and 2^64 for both slopes
+    assert vpp_module._bounded_ring.cache_info().currsize == 4
+
+
+def test_aborted_passes_double_the_radix(monkeypatch):
+    # with the tightest radix for each bound, starting at 2^1, every aborted
+    # pass at least doubles K: at most 2 + log2(K_last / K_first) passes
+    expected = vpp((2, 2, 2, 2))
+    monkeypatch.setattr(vpp_module, "_radix_bits", lambda bound: bound.bit_length() + 1)
+    passes = []
+    bounded_ring = vpp_module._bounded_ring
+
+    def recording(bits, slope):
+        passes.append(bits)
+        return bounded_ring(bits, slope)
+
+    monkeypatch.setattr(vpp_module, "_bounded_ring", recording)
+    _clear_caches()
+    assert vpp((2, 2, 2, 2)) == expected
+    assert passes[0] == 1
+    assert all(b >= 2 * a for a, b in zip(passes, passes[1:-1]))
+    assert len(passes) <= 2 + passes[-1].bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [(2, 2), (1, 2, 3)])
+def test_one_recursion_pass(n):
+    _clear_caches()
+    vpp_module._fiber(vpp_module._int_ring(64, 1), *vpp_module._job(n))
+    one_pass = vpp_module._fiber.cache_info().misses
+    _clear_caches()
+    vpp(n)
+    assert vpp_module._fiber.cache_info().misses == one_pass
+
+
+def test_schoolbook_arithmetic_stays_off_the_hot_path(monkeypatch, capsys):
+    _clear_caches()
 
     def refuse(self, other):
         raise AssertionError("schoolbook UniPoly arithmetic in the recursion")
