@@ -8,9 +8,12 @@ polynomial) is the zero-factor case.
 The recursion stratifies by how the configuration degenerates seen from the
 root screen:
 
-* each factor independently carries a hierarchy of fully-fused screens (every
-  fused level splits its content into at least two sub-screens at distinct
-  heights, weight ``qconfig(#children)``);
+* each factor independently splits its marks into k screens.  The fused
+  levels above them (each splitting its content into at least two children
+  at distinct heights, weight ``qconfig(#children)``) form a rooted tree on
+  the k labelled screens, and p_k = ``_seam(k)`` (p_1 = p_2 = 1) sums exactly
+  these trees.  So a screen partition of multiplicity m weighs m * p_k, in
+  every ring, since this only regroups the hierarchies' products;
 * the leaves of those hierarchies are screens on which the lines separate into
   a shared partition P with at least two parts (weight ``qconfig(#P)`` once,
   since line positions are common to all factors);
@@ -87,14 +90,16 @@ Read from the root screen down, a stratum (a seam tree with a screen tree,
 see :mod:`~linestrata.tree_pairs`) makes exactly one such choice at every
 level, and every choice is made by exactly one stratum; the single-line and
 single-mark shortcuts of ``_fiber`` are isomorphisms of stratified spaces.
-The term's weight is then its stratum's polynomial (``stratum_vpp``), a
-product of open configuration spaces: monic of degree the stratum's
-dimension, since ``config(l, k)`` is monic of degree l, ``qconfig(m)`` of
-degree m - 2, and each screen division lowers the degree by one.  Sending
-each primitive to t^degree therefore sends each term to t^dimension, and
-the whole sum to the generating function of the f-vector.  Each term weighs
-at least 1 in the bound ring, so N also bounds every stratum count, and
-with t = 2^K the counts are the digits of the result.
+The terms of a screen distribution's ``_seam(k)`` are exactly the
+hierarchies above its k screens, so the bijection still holds there.  The
+term's weight is then its stratum's polynomial (``stratum_vpp``), a product
+of open configuration spaces: monic of degree the stratum's dimension, since
+``config(l, k)`` is monic of degree l, ``qconfig(m)`` of degree m - 2, and
+each screen division lowers the degree by one.  Sending each primitive to
+t^degree therefore sends each term to t^dimension, and the whole sum to the
+generating function of the f-vector.  Each term weighs at least 1 in the
+bound ring, so N also bounds every stratum count, and with t = 2^K the
+counts are the digits of the result.
 """
 from __future__ import annotations
 
@@ -314,22 +319,15 @@ def _validate_vector(v: Sequence[int], r: int) -> Vector:
 
 @lru_cache(maxsize=None)
 def _screen_distribution(ring, v: Vector) -> tuple[tuple[tuple[Vector, ...], object], ...]:
-    """Weighted multisets of screens a single factor can present to the root.
-
-    A factor either opens directly as one screen carrying all its marks, or
-    fuses at the top: the fused level splits the marks into at least two
-    groups at distinct heights (weight qconfig(#groups)), each group
-    recursively presenting its own screens.
-    """
-    out = {(v,): ring.constant(1)}
-    for blocks, mult in vector_partitions(v):
-        if len(blocks) < 2:
-            continue
-        weight = ring.constant(mult) * ring.qconfig(len(blocks))
-        for screens, w in _pool([_screen_distribution(ring, b) for b in blocks]).items():
-            term = weight * w
-            out[screens] = out[screens] + term if screens in out else term
-    return tuple(sorted(out.items(), key=lambda kv: kv[0]))
+    """Weighted multisets of screens a single factor can present to the root:
+    a partition of v into k screens, of multiplicity m, weighs m * p_k."""
+    if not any(v):
+        raise ValueError(f"count vector {v} carries no marks")
+    out = [
+        (tuple(sorted(blocks)), ring.constant(mult) * _seam(ring, len(blocks)))
+        for blocks, mult in vector_partitions(v)
+    ]
+    return tuple(sorted(out, key=lambda kv: kv[0]))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
 the Kronecker ring's decoding and division, the bounded ring against its two
-components, vpp symmetry, the JSON round trip of strata, the lattice checks
-against sympy's normal forms, and chart evaluation against the symbolic
-gluing polynomials."""
+components, the closed-form screen distribution against its hierarchies, vpp
+symmetry, the JSON round trip of strata, the lattice checks against sympy's
+normal forms, and chart evaluation against the symbolic gluing polynomials."""
 
 import importlib
 from fractions import Fraction
@@ -36,6 +36,8 @@ from linestrata.local_models import lattice_is_saturated, lattice_span_equal
 from linestrata.tree_pairs import TreePair, enumerate_tree_pairs
 from linestrata.trees import StableTree, glue_tree
 from linestrata.vpp import stratum_counts, vpp, vpp_fiber_product
+
+from test_vpp import _hierarchy_distribution
 
 vpp_module = importlib.import_module("linestrata.vpp")
 
@@ -147,6 +149,20 @@ def test_bounded_ring_carries_both_rings(job, slope):
     both = vpp_module._fiber(vpp_module._bounded_ring(64, slope), *job)
     assert both.bound == vpp_module._fiber(vpp_module._int_ring(0, -1), *job)
     assert both.value == vpp_module._fiber(vpp_module._int_ring(64, slope), *job)
+
+
+marked_vectors = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
+    lambda v: 1 <= sum(v) <= 6
+).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_vectors)
+def test_screen_distribution_sums_hierarchies(v):
+    # entries of 3, beyond the deterministic sweep of test_vpp
+    ring = vpp_module._int_ring(64, 1)
+    closed = vpp_module._screen_distribution(ring, v)
+    assert closed == _hierarchy_distribution(ring, v)
 
 
 monomials = st.dictionaries(st.sampled_from("abc"), st.integers(0, 2), max_size=3).map(

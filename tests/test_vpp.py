@@ -7,11 +7,13 @@ the recursion was implemented; they are the oracle for everything else.
 import hashlib
 import importlib
 import random
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
 
+from linestrata._combi import vector_partitions
 from linestrata.cli import run
 from linestrata.exact_poly import UniPoly, config_poly, quotient_config_poly
 from linestrata.tree_pairs import enumerate_tree_pairs, f_vector
@@ -242,6 +244,53 @@ def test_basis_shortcut_matches_full_recursion():
                 for factors in combinations_with_replacement(units, k):
                     full = vpp_module._fiber_sum(ring, r, tuple(sorted(factors)))
                     assert full == vpp_module._seam(ring, r), (ring, r, factors)
+
+
+@cache
+def _hierarchy_distribution(ring, v):
+    """The screen distribution summed hierarchy by hierarchy: the single
+    screen (v,), or a fused level splitting v into at least two groups at
+    distinct heights (weight qconfig(#groups)), each group presenting its
+    own screens recursively."""
+    out = {(v,): ring.constant(1)}
+    for blocks, mult in vector_partitions(v):
+        if len(blocks) < 2:
+            continue
+        weight = ring.constant(mult) * ring.qconfig(len(blocks))
+        options = [_hierarchy_distribution(ring, b) for b in blocks]
+        for screens, w in vpp_module._pool(options).items():
+            term = weight * w
+            out[screens] = out[screens] + term if screens in out else term
+    return tuple(sorted(out.items(), key=lambda kv: kv[0]))
+
+
+def _comparable(distribution):
+    """The keys in order with their weights, a bounded weight as its bound
+    and value, since Bounded has no equality."""
+    return [
+        (key, (w.bound, w.value) if isinstance(w, vpp_module.Bounded) else w)
+        for key, w in distribution
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    RINGS + [vpp_module._bounded_ring(64, 1), vpp_module._bounded_ring(64, 0)],
+    ids=[
+        "poly", "bound", "kronecker", "dimension", "bounded-kronecker", "bounded-dimension"
+    ],
+)
+def test_screen_distribution_closed_form(ring):
+    # the hierarchies over k labelled screens are the trees _seam(k) sums, so
+    # the closed form regroups the same products in every ring
+    for length in range(1, 5):
+        for v in product(range(3), repeat=length):
+            if any(v):
+                closed = vpp_module._screen_distribution(ring, v)
+                oracle = _hierarchy_distribution(ring, v)
+                assert _comparable(closed) == _comparable(oracle), v
+    with pytest.raises(ValueError, match="carries no marks"):
+        vpp_module._screen_distribution(ring, (0, 0))
 
 
 def _types(max_size):
