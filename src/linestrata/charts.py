@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -60,8 +59,11 @@ def _as_vertex(tree: StableTree, v) -> Bracket:
 
 
 def _meet(tree: StableTree, u: Bracket, v: Bracket) -> Bracket:
-    """The deepest vertex holding both u and v."""
-    return min((w for w in tree.brackets if u | v <= w), key=len)
+    """The deepest vertex holding both u and v: the first vertex on the
+    way up from u that contains v."""
+    while not v <= u:
+        u = tree.parent(u)
+    return u
 
 
 def default_slices(tree: StableTree) -> dict[Bracket, tuple[Bracket, Bracket]]:
@@ -148,7 +150,17 @@ def pinned_curve(
                 f"vertex {sorted(rho)} has {len(children)} children; "
                 "a fully pinned curve needs a binary tree"
             )
+        if rho not in slices:
+            raise ValueError(f"vertex {sorted(rho)} has no slice")
         s0, s1 = slices[rho]
+        for pin in (s0, s1):
+            if pin not in children:
+                raise ValueError(
+                    f"slice of vertex {sorted(rho)} pins {sorted(pin)}, "
+                    "which is not one of its children"
+                )
+        if s0 == s1:
+            raise ValueError(f"slice of vertex {sorted(rho)} pins {sorted(s0)} twice")
         values = [None, None]
         values[children.index(s0)] = Fraction(0)
         values[children.index(s1)] = Fraction(1)
@@ -235,25 +247,35 @@ def evaluate_chart(
     if slices is not None:
         check_slices(curve, slices)
     values = {frozenset(k): Fraction(v) for k, v in b.items()}
-    if set(values) != {v for v in tree.interior_vertices() if v != tree.root}:
+    interior = tree.interior_vertices()
+    root = tree.root
+    if set(values) != {v for v in interior if v != root}:
         raise ValueError(
             "gluing coordinates must cover exactly the non-root interior vertices"
         )
 
-    @cache
-    def seen_from(rho: Bracket) -> dict[Bracket, Fraction]:
-        """Every vertex strictly below rho at its position on rho's screen."""
-        seen = {}
+    # seen[rho]: every vertex strictly below rho at its position on rho's
+    # screen, as an unreduced pair (numerator, positive denominator).  Seen
+    # from rho, a vertex sigma below the child c at position p sits at
+    # p + b[c] * x, where x is sigma's position on c's screen.
+    seen: dict[Bracket, dict[Bracket, tuple[int, int]]] = {}
+    for rho in reversed(interior):
+        here = {}
         for child, position in zip(tree.children(rho), curve.positions[rho]):
-            seen[child] = position
-            if len(child) > 1:
-                for sigma, x in seen_from(child).items():
-                    seen[sigma] = position + values[child] * x
-        return seen
+            pn, pd = position.numerator, position.denominator
+            here[child] = (pn, pd)
+            below = seen.get(child)
+            if below is not None:
+                bn, bd = values[child].numerator, values[child].denominator
+                for sigma, (xn, xd) in below.items():
+                    here[sigma] = (pn * bd * xd + pd * bn * xn, pd * bd * xd)
+        seen[rho] = here
 
-    for i, j in combinations(range(1, tree.r + 1), 2):
-        seen = seen_from(_meet(tree, frozenset({i}), frozenset({j})))
-        if seen[frozenset({i})] == seen[frozenset({j})]:
+    leaves = [frozenset({i}) for i in range(1, tree.r + 1)]
+    for (i, u), (j, v) in combinations(enumerate(leaves, 1), 2):
+        here = seen[_meet(tree, u, v)]
+        (un, ud), (vn, vd) = here[u], here[v]
+        if un * vd == vn * ud:
             raise ValueError(
                 f"outside the chart domain: the separating factor for "
                 f"leaves {i} and {j} vanishes"
@@ -262,7 +284,7 @@ def evaluate_chart(
     pattern = {v: (0 if x == 0 else 1) for v, x in values.items()}
     new_tree = glue_tree(tree, pattern)
     positions = {
-        rho: tuple(seen_from(rho)[child] for child in new_tree.children(rho))
+        rho: tuple(Fraction(*seen[rho][child]) for child in new_tree.children(rho))
         for rho in new_tree.interior_vertices()
     }
     return StableCurve(new_tree, positions)

@@ -74,20 +74,43 @@ def _emit_json(payload: object) -> None:
 
 def _read_spec(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+        spec = json.load(sys.stdin)
+    else:
+        with open(path) as handle:
+            spec = json.load(handle)
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a JSON object, got {type(spec).__name__}")
+    return spec
 
 
-def _parse_vertex(label: str) -> frozenset[int]:
+def _parse_vertex(label: object) -> frozenset[int]:
+    if not isinstance(label, str):
+        raise ValueError(f"expected a vertex label such as \"1-3-4\", got {label!r}")
     return frozenset(int(p) for p in label.split("-"))
 
 
-def _parse_slices(data: dict) -> dict:
-    return {
-        _parse_vertex(label): (_parse_vertex(pair[0]), _parse_vertex(pair[1]))
-        for label, pair in data.items()
-    }
+def _parse_fraction(value: object) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"expected a number or a fraction string, got {value!r}")
+
+
+def _parse_object(data: object, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _parse_slices(data: object) -> dict:
+    slices = {}
+    for label, pair in _parse_object(data, "slices").items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(
+                f"slice of {label} must be a pair of vertex labels, got {pair!r}"
+            )
+        slices[_parse_vertex(label)] = (_parse_vertex(pair[0]), _parse_vertex(pair[1]))
+    return slices
 
 
 def _fail(message: str) -> int:
@@ -279,13 +302,13 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
 def _cmd_chart_eval(args: argparse.Namespace) -> int:
     try:
         spec = _read_spec(args.spec)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot read chart spec: {exc}")
     try:
         curve = StableCurve.from_json(spec["curve"])
         glue = {
-            _parse_vertex(label): Fraction(value)
-            for label, value in spec["glue"].items()
+            _parse_vertex(label): _parse_fraction(value)
+            for label, value in _parse_object(spec["glue"], "glue").items()
         }
         slices = _parse_slices(spec["slices"]) if "slices" in spec else None
         glued = evaluate_chart(curve, glue, slices=slices)
@@ -303,7 +326,7 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
 def _cmd_transition_check(args: argparse.Namespace) -> int:
     try:
         spec = _read_spec(args.spec)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot read transition spec: {exc}")
     try:
         tree1 = StableTree.from_json(spec["tree1"])

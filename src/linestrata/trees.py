@@ -38,10 +38,51 @@ def _check_laminar(brackets: Iterable[Bracket]) -> None:
                 raise ValueError(f"brackets {sorted(a)} and {sorted(b)} overlap")
 
 
-class StableTree:
-    """Rooted tree on leaves {1..r}, every interior vertex with >= 2 children."""
+_Structure = tuple[
+    dict[Bracket, Bracket], dict[Bracket, tuple[Bracket, ...]], tuple[Bracket, ...]
+]
 
-    __slots__ = ("r", "brackets", "_children")
+
+def _build_structure(r: int, brackets: frozenset[Bracket]) -> _Structure:
+    """One pass over a laminar family, smallest brackets first: each bracket
+    adopts the largest vertices so far below its leaves, which are its
+    children (brackets of equal size are disjoint).  The vertices stored are
+    the family's own bracket objects, so the tree holds no second copy."""
+    top = {leaf: b for b in brackets if len(b) == 1 for leaf in b}
+    parents: dict[Bracket, Bracket] = {}
+    below: dict[Bracket, tuple[Bracket, ...]] = {}
+    for b in sorted(brackets, key=len):
+        if len(b) == 1:
+            continue
+        kids = []
+        for leaf in sorted(b):
+            child = top[leaf]
+            if child not in parents:
+                parents[child] = b
+                kids.append(child)
+            top[leaf] = b
+        below[b] = tuple(kids)
+    children: dict[Bracket, tuple[Bracket, ...]] = {}
+    preorder = []
+    stack = [top[1]]
+    while stack:
+        b = stack.pop()
+        preorder.append(b)
+        kids = below.get(b)
+        if kids is not None:
+            children[b] = kids
+            stack.extend(reversed(kids))
+    return parents, children, tuple(preorder)
+
+
+class StableTree:
+    """Rooted tree on leaves {1..r}, every interior vertex with >= 2 children.
+
+    The parent map, child lists and preorder are derived from the brackets
+    once, on the first structural query, and stored with the tree.
+    """
+
+    __slots__ = ("r", "brackets", "_structure")
 
     def __init__(self, r: int, brackets: Iterable[Bracket]):
         if r < 1:
@@ -57,9 +98,18 @@ class StableTree:
                 raise ValueError(f"bracket {sorted(b)} out of range for r={r}")
         _check_laminar(bs)
         self.brackets: frozenset[Bracket] = frozenset(bs)
-        self._children: dict[Bracket, tuple[Bracket, ...]] = {}
+        self._structure: _Structure | None = None
 
     # -- structure ----------------------------------------------------
+
+    def _built(self) -> _Structure:
+        """(parents, children, preorder): the parent of every non-root
+        vertex; the children of every interior vertex, ordered by smallest
+        leaf, keyed in preorder; and all vertices in preorder."""
+        structure = self._structure
+        if structure is None:
+            structure = self._structure = _build_structure(self.r, self.brackets)
+        return structure
 
     @property
     def root(self) -> Bracket:
@@ -70,44 +120,32 @@ class StableTree:
 
     def interior_vertices(self) -> list[Bracket]:
         """Non-leaf vertices, root first, in preorder."""
-        return [b for b in self.preorder_vertices() if len(b) >= 2]
+        return list(self._built()[1])
 
     def children(self, b: Bracket) -> tuple[Bracket, ...]:
         """Child vertices of b, ordered by smallest leaf."""
+        out = self._built()[1].get(b)
+        if out is not None:
+            return out
         if b not in self.brackets:
             raise KeyError(f"{sorted(b)} is not a vertex")
-        if len(b) == 1:
-            return ()
-        cached = self._children.get(b)
-        if cached is not None:
-            return cached
-        proper = [c for c in self.brackets if c < b]
-        maximal = [
-            c for c in proper if not any(c < d for d in proper)
-        ]
-        out = tuple(sorted(maximal, key=min))
-        self._children[b] = out
-        return out
+        return ()
 
     def parent(self, b: Bracket) -> Bracket:
         """Parent vertex of b; the root has none."""
+        out = self._built()[0].get(b)
+        if out is not None:
+            return out
         if b not in self.brackets:
             raise KeyError(f"{sorted(b)} is not a vertex")
-        if b == self.root:
-            raise ValueError("the root has no parent")
-        supersets = [c for c in self.brackets if b < c]
-        return min(supersets, key=len)
+        raise ValueError("the root has no parent")
 
     def in_degree(self, b: Bracket) -> int:
         return len(self.children(b))
 
     def preorder_vertices(self) -> Iterator[Bracket]:
         """All vertices in depth-first order, children by smallest leaf."""
-        stack = [self.root]
-        while stack:
-            b = stack.pop()
-            yield b
-            stack.extend(reversed(self.children(b)))
+        return iter(self._built()[2])
 
     def path_to_root(self, b: Bracket) -> list[Bracket]:
         """Vertices from b (inclusive) up to the root (inclusive)."""

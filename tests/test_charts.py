@@ -301,6 +301,40 @@ def test_transition_check_report():
     assert same.verified >= 20
 
 
+@pytest.mark.parametrize(
+    "vertex, pins, message",
+    [
+        (fz({1, 3, 4}), None, r"vertex \[1, 3, 4\] has no slice"),
+        (
+            fz({1, 3, 4}),
+            (fz({3, 4}), fz({3, 4})),
+            r"vertex \[1, 3, 4\] pins \[3, 4\] twice",
+        ),
+        (
+            fz({1, 3, 4}),
+            (fz({1}), fz({2})),
+            r"vertex \[1, 3, 4\] pins \[2\], which is not",
+        ),
+        (
+            fz({3, 4}),
+            (fz({3, 4}), fz({4})),
+            r"vertex \[3, 4\] pins \[3, 4\], which is not",
+        ),
+    ],
+)
+def test_bad_slices_are_rejected(vertex, pins, message):
+    tree1, slices1 = left_comb()
+    tree2, slices2 = right_comb()
+    if pins is None:
+        del slices1[vertex]
+    else:
+        slices1[vertex] = pins
+    with pytest.raises(ValueError, match=message):
+        pinned_curve(tree1, slices1)
+    with pytest.raises(ValueError, match=message):
+        transition_check(tree1, slices1, tree2, slices2, samples=5)
+
+
 # ---------------------------------------------------------------------------
 # plane trees
 # ---------------------------------------------------------------------------

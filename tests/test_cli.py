@@ -297,6 +297,93 @@ def test_transition_check_json_deterministic(tmp_path, capsys):
     assert payload["verified"] + payload["skipped"] == 40
 
 
+TRANSITION_8 = Path(__file__).resolve().parents[1] / "benchmarks" / "transition_8.json"
+TRANSITION_8_COUNTS = {0: (219, 381), 1: (231, 369), 2: (227, 373)}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("seed", sorted(TRANSITION_8_COUNTS))
+def test_transition_check_bytes_are_frozen(seed, fmt, capsys):
+    """The exact output of the benchmark's 8-leaf transition check."""
+    verified, skipped = TRANSITION_8_COUNTS[seed]
+    argv = ["transition-check", str(TRANSITION_8), "--samples", "600"]
+    assert run(argv + ["--seed", str(seed), "--format", fmt]) == 0
+    out, err = out_of(capsys)
+    if fmt == "json":
+        expected = (
+            f'{{\n  "samples": 600,\n  "skipped": {skipped},\n'
+            f'  "verified": {verified}\n}}\n'
+        )
+    else:
+        expected = f"verified {verified}/600 samples ({skipped} skipped)\n"
+    assert (out, err) == (expected, "")
+
+
+DROP = object()
+
+
+def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
+    """A copy of spec with spec[key], or spec[key][entry], set to value
+    (or deleted, for DROP)."""
+    out = json.loads(json.dumps(spec))
+    holder, name = (out, key) if entry is None else (out[key], entry)
+    if value is DROP:
+        del holder[name]
+    else:
+        holder[name] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, spec, error",
+    [
+        ("chart-eval", [1, 2], "cannot read chart spec: expected a JSON object"),
+        (
+            "transition-check",
+            [1, 2],
+            "cannot read transition spec: expected a JSON object",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "slices", 5, "1-2-3-4"),
+            "slice of 1-2-3-4 must be a pair",
+        ),
+        (
+            "transition-check",
+            _with(TRANSITION_SPEC, "slices1", 5, "1-3-4"),
+            "slice of 1-3-4 must be a pair",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "glue", None, "3-4"),
+            "expected a number or a fraction string, got None",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "glue", ["1-3-4"]),
+            "glue must be a JSON object",
+        ),
+        (
+            "transition-check",
+            _with(TRANSITION_SPEC, "slices1", DROP, "1-3-4"),
+            "transition check failed: vertex [1, 3, 4] has no slice",
+        ),
+        (
+            "transition-check",
+            _with(TRANSITION_SPEC, "slices2", ["3-4", "3-4"], "2-3-4"),
+            "transition check failed: slice of vertex [2, 3, 4] pins [3, 4] twice",
+        ),
+    ],
+)
+def test_malformed_specs_are_errors(command, spec, error, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run([command, str(path)]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
 def test_missing_spec_file(capsys):
     assert run(["chart-eval", "/no/such/file.json"]) == 1
     _, err = out_of(capsys)

@@ -2,7 +2,8 @@
 the Kronecker ring's decoding and division, the bounded ring against its two
 components, the closed-form screen distribution against its hierarchies, vpp
 symmetry, the JSON round trip of strata, the lattice checks against sympy's
-normal forms, and chart evaluation against the symbolic gluing polynomials."""
+normal forms, the stored tree structure against bracket scans, and chart
+evaluation against the symbolic gluing polynomials."""
 
 import importlib
 from fractions import Fraction
@@ -20,6 +21,7 @@ from linestrata._combi import set_partitions, vector_partitions
 from linestrata.charts import (
     StableCurve,
     _b_variable,
+    _meet,
     evaluate_chart,
     extract_q_factor,
     gluing_polynomial,
@@ -309,6 +311,76 @@ def merged_trees(draw, max_leaves, binary=False):
         roots.append(merged)
         brackets.append(merged)
     return StableTree(r, brackets)
+
+
+@st.composite
+def laminar_trees(draw):
+    """A stable tree on 1-9 leaves from a random number of random merges;
+    the root takes whatever is left unmerged."""
+    r = draw(st.integers(1, 9))
+    roots = [frozenset({leaf}) for leaf in range(1, r + 1)]
+    brackets = []
+    while len(roots) > 2 and draw(st.booleans()):
+        size = draw(st.integers(2, len(roots) - 1))
+        picked = draw(st.permutations(range(len(roots))))[:size]
+        merged = frozenset().union(*(roots[k] for k in picked))
+        roots = [root for k, root in enumerate(roots) if k not in picked]
+        roots.append(merged)
+        brackets.append(merged)
+    return StableTree(r, brackets)
+
+
+# the bracket-scanning definitions that StableTree's stored structure replaced
+
+
+def _scanned_children(tree, b):
+    if len(b) == 1:
+        return ()
+    proper = [c for c in tree.brackets if c < b]
+    return tuple(sorted((c for c in proper if not any(c < d for d in proper)), key=min))
+
+
+def _scanned_parent(tree, b):
+    return min((c for c in tree.brackets if b < c), key=len)
+
+
+def _scanned_preorder(tree):
+    out, stack = [], [tree.root]
+    while stack:
+        b = stack.pop()
+        out.append(b)
+        stack.extend(reversed(_scanned_children(tree, b)))
+    return out
+
+
+def _scanned_meet(tree, u, v):
+    return min((w for w in tree.brackets if u | v <= w), key=len)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laminar_trees())
+def test_tree_structure_matches_bracket_scans(tree):
+    preorder = _scanned_preorder(tree)
+    assert list(tree.preorder_vertices()) == preorder
+    assert sorted(preorder, key=sorted) == sorted(tree.brackets, key=sorted)
+    interior = tree.interior_vertices()
+    assert interior == [b for b in preorder if len(b) >= 2]
+    interior.clear()  # a fresh list each call
+    assert tree.interior_vertices() == [b for b in preorder if len(b) >= 2]
+    for b in tree.brackets:
+        assert tree.children(b) == _scanned_children(tree, b)
+        assert tree.in_degree(b) == len(_scanned_children(tree, b))
+        if b == tree.root:
+            with pytest.raises(ValueError, match="the root has no parent"):
+                tree.parent(b)
+        else:
+            assert tree.parent(b) == _scanned_parent(tree, b)
+        for v in tree.brackets:
+            assert _meet(tree, b, v) == _scanned_meet(tree, b, v)
+    outside = frozenset({tree.r + 1})
+    for query in (tree.children, tree.parent, tree.in_degree):
+        with pytest.raises(KeyError, match="is not a vertex"):
+            query(outside)
 
 
 # few values, so that leaves often coincide after gluing
