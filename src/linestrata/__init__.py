@@ -36,8 +36,6 @@ from .tree_pairs import (
     enumerate_tree_pairs,
     enumerate_two_bracketings_bruteforce,
     f_vector,
-    glue_tree_pair,
-    local_poset_elements,
     poset_leq_tree_pair,
     stratum_dimension,
     top_tree_pair,
@@ -51,8 +49,10 @@ from .local_models import (
     SolveResult,
     canonical_generators,
     coherence_generators,
+    glue_tree_pair,
     lattice_is_saturated,
     lattice_span_equal,
+    local_poset_elements,
     model_defining_relations,
     monoid_saturation_witness,
     solve_difference_constraints,

@@ -37,6 +37,7 @@ from .vpp import stratum_counts, vpp, vpp_table
 
 ENUM_GUARD = 12
 VPP_GUARD = 8
+STRATA_GUARD = 20_000
 
 
 def _vector(text: str) -> tuple[int, ...]:
@@ -100,6 +101,16 @@ def _parse_object(data: object, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     return data
+
+
+def _parse_curve(data: object) -> StableCurve:
+    curve = _parse_object(data, "curve")
+    positions = {}
+    for label, values in _parse_object(curve["positions"], "positions").items():
+        if not isinstance(values, list):
+            raise ValueError(f"positions of {label} must be a list, got {values!r}")
+        positions[_parse_vertex(label)] = tuple(_parse_fraction(v) for v in values)
+    return StableCurve(StableTree.from_json(curve["tree"]), positions)
 
 
 def _parse_slices(data: object) -> dict:
@@ -255,6 +266,13 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
     n = args.n
     if _refuses_enumeration(n, args.max_size):
         return 1
+    if args.max_size is None:
+        strata = sum(stratum_counts(n))
+        if strata > STRATA_GUARD:
+            return _fail(
+                f"{strata} strata exceed the bound {STRATA_GUARD} of "
+                "check-local-model; pass --max-size to enumerate them anyway"
+            )
     models = [tp for tp in enumerate_tree_pairs(n) if tp.dimension == 0]
     if not models:
         print("no 0-dimensional strata")
@@ -305,7 +323,7 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read chart spec: {exc}")
     try:
-        curve = StableCurve.from_json(spec["curve"])
+        curve = _parse_curve(spec["curve"])
         glue = {
             _parse_vertex(label): _parse_fraction(value)
             for label, value in _parse_object(spec["glue"], "glue").items()

@@ -1,28 +1,30 @@
-"""Integer lattice models for neighborhoods of strata.
+"""A stratum's neighbourhood: its integer lattice model, local poset and gluing.
 
 A stratum gets one lattice coordinate per non-root screen and one per
-non-root interior seam bracket.  The screens' matching conditions span a
-sublattice of relations; this module builds that sublattice two ways (the
-raw matching vectors and a triangular canonical set), compares spans,
-tests saturation, and solves the integer difference-constraint systems
-used to certify that nonnegative representatives exist.  Span equality and
-saturation both come from one diagonalisation by integer row and column
-operations, in plain Python integers.
+non-root interior seam bracket.  One walk over the screens gives the
+sublattice of matching relations two ways (the raw matching vectors and a
+triangular canonical set).  Each relation is a binomial, and the local poset
+is the set of their 0/1 points, one per nearby stratum: the torus orbits of
+an affine toric variety (Fulton, *Introduction to Toric Varieties*, 3.1).
+The module also compares spans and tests saturation, both by one integer
+diagonalisation, and solves the difference-constraint systems that certify
+nonnegative representatives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .tree_pairs import (
     Component,
     TreePair,
-    _components_on_path,
-    _first_multi_toward_root,
     non_root_components,
     non_root_interior,
+    tree_pair_to_two_bracketing,
+    two_bracketing_to_tree_pair,
 )
 
 NEG_INF = -math.inf
@@ -104,55 +106,119 @@ def _default_names(coords: Sequence[CoordKey]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _model_context(
+def _screen_walk(tp: TreePair):
+    """The screens in walk order, addressed by walk index.
+
+    Returns (screens, parent, split_above, groups): parent[i] is the index
+    of the screen holding screen i (-1 at the root), split_above[i] the
+    index of the first splitting screen strictly above it (-1 when there is
+    none), and groups maps each bracket to the indices of the splitting
+    screens over it, in walk order.
+    """
+    screens: list[Component] = []
+    parent: list[int] = []
+    split_above: list[int] = []
+    groups: dict[frozenset, list[int]] = {}
+
+    def visit(comp: Component, up: int, split: int) -> None:
+        index = len(screens)
+        screens.append(comp)
+        parent.append(up)
+        split_above.append(split)
+        if comp.is_multi:
+            groups.setdefault(comp.lines, []).append(index)
+            split = index
+        for child in comp.child_components():
+            visit(child, index, split)
+
+    visit(tp.root, -1, -1)
+    return screens, parent, split_above, groups
+
+
+def _path(parent: Sequence[int], start: int, stop: int) -> list[int]:
+    """Walk indices from start (inclusive) up to its ancestor stop
+    (exclusive)."""
+    out = []
+    while start != stop:
+        out.append(start)
+        start = parent[start]
+    return out
+
+
+def _merge_point(parent: Sequence[int], i: int, j: int) -> int:
+    """First screen lying on both root-ward paths.  An ancestor comes before
+    its descendants in walk order, so of two distinct screens the later one
+    is no ancestor of the other and may step up."""
+    while i != j:
+        if i > j:
+            i = parent[i]
+        else:
+            j = parent[j]
+    return i
+
+
+def _seam_relation(
+    parent: Sequence[int], split_above: Sequence[int], alpha: int, bracket: frozenset
+):
+    """The seam coordinate of a splitting screen's bracket against the
+    path from the screen up to the first splitting screen above."""
+    above = split_above[alpha]
+    if above < 0:
+        raise AssertionError(
+            "a splitting screen over a non-root bracket always sits under "
+            "another splitting screen"
+        )
+    return (), _path(parent, alpha, above), bracket
+
+
+def _lattice_model(
     tp: TreePair,
+    relations: Iterable[tuple[Sequence[int], Sequence[int], frozenset | None]],
     coordinates: Sequence[CoordKey] | None,
     names: Sequence[str] | None,
-):
+) -> LatticeModel:
+    """Write relations given by walk index as rows over the coordinates.
+
+    A relation (plus, minus, seam) counts the screens in plus once each,
+    those in minus minus once each, and the seam bracket, when there is
+    one, once.
+    """
     default = lattice_coordinates(tp)
     if coordinates is None:
         coords = default
+        columns: Sequence[int] = range(len(default))
     else:
         coords = list(coordinates)
         if len(coords) != len(default) or set(coords) != set(default):
             raise ValueError(
                 "coordinates must be a permutation of lattice_coordinates(tree_pair)"
             )
+        position = {key: i for i, key in enumerate(coords)}
+        columns = [position[key] for key in default]
     if names is None:
         name_tuple = _default_names(coords)
     else:
         name_tuple = tuple(names)
         if len(name_tuple) != len(coords):
             raise ValueError("names length does not match coordinate count")
-    col = {key: i for i, key in enumerate(coords)}
-    seam_cols = frozenset(i for i, key in enumerate(coords) if key[0] == "seam")
-    return coords, name_tuple, col, seam_cols
-
-
-def _multi_groups(comps: Sequence[Component]) -> dict[frozenset, list[Component]]:
-    """Splitting screens grouped by seam-tree vertex, in walk order."""
-    groups: dict[frozenset, list[Component]] = {}
-    for comp in comps:
-        if comp.is_multi:
-            groups.setdefault(comp.lines, []).append(comp)
-    return groups
-
-
-def _merge_point(
-    c1: Component, c2: Component, parent: Mapping[Component, Component | None]
-) -> Component:
-    """First screen lying on both root-ward paths."""
-    seen = []
-    cur: Component | None = c1
-    while cur is not None:
-        seen.append(cur)
-        cur = parent[cur]
-    cur = c2
-    while cur is not None:
-        if cur in seen:
-            return cur
-        cur = parent[cur]
-    raise AssertionError("screens share no ancestor")
+    k = sum(1 for kind, _ in default if kind == "comp")
+    screen_col = [-1, *columns[:k]]
+    seam_col = {bracket: c for (_, bracket), c in zip(default[k:], columns[k:])}
+    rows = []
+    for plus, minus, seam in relations:
+        vec = [0] * len(coords)
+        for i in plus:
+            vec[screen_col[i]] += 1
+        for i in minus:
+            vec[screen_col[i]] -= 1
+        if seam is not None:
+            vec[seam_col[seam]] += 1
+        rows.append(tuple(vec))
+    return LatticeModel(
+        names=name_tuple,
+        generators=tuple(rows),
+        seam_columns=frozenset(columns[k:]),
+    )
 
 
 def canonical_generators(
@@ -172,51 +238,22 @@ def canonical_generators(
     coordinate against the path up to the first splitting screen above.
     Rows are emitted in reverse walk order of their owners.
     """
-    coords, name_tuple, col, seam_cols = _model_context(tp, coordinates, names)
-    comps = tp.components()
-    parent = tp.component_parent()
-    pos = {c: i for i, c in enumerate(comps)}
-    groups = _multi_groups(comps)
+    _, parent, split_above, groups = _screen_walk(tp)
     root_lines = frozenset(range(1, tp.r + 1))
-    n = len(coords)
-    rows: list[tuple[int, tuple[int, ...]]] = []
-
+    owned = []
     for bracket, group in groups.items():
-        for idx, alpha in enumerate(group):
-            last = idx == len(group) - 1
-            if last and bracket == root_lines:
-                continue
-            vec = [0] * n
-            if not last:
-                alpha2 = group[idx + 1]
-                above1 = _first_multi_toward_root(alpha, parent)
-                above2 = _first_multi_toward_root(alpha2, parent)
-                if above1 is not None and above2 is not None and above1 is not above2:
-                    stop1, stop2 = above1, above2
-                else:
-                    stop1 = stop2 = _merge_point(alpha, alpha2, parent)
-                for comp in _components_on_path(alpha, stop1, parent):
-                    vec[col[("comp", comp)]] += 1
-                for comp in _components_on_path(alpha2, stop2, parent):
-                    vec[col[("comp", comp)]] -= 1
-            else:
-                above = _first_multi_toward_root(alpha, parent)
-                if above is None:
-                    raise AssertionError(
-                        "the last splitting screen over a non-root bracket always "
-                        "sits under another splitting screen"
-                    )
-                vec[col[("seam", bracket)]] += 1
-                for comp in _components_on_path(alpha, above, parent):
-                    vec[col[("comp", comp)]] -= 1
-            rows.append((pos[alpha], tuple(vec)))
-
-    rows.sort(key=lambda item: -item[0])
-    return LatticeModel(
-        names=name_tuple,
-        generators=tuple(vec for _, vec in rows),
-        seam_columns=seam_cols,
-    )
+        for alpha, alpha2 in zip(group, group[1:]):
+            stop1, stop2 = split_above[alpha], split_above[alpha2]
+            if stop1 < 0 or stop2 < 0 or stop1 == stop2:
+                stop1 = stop2 = _merge_point(parent, alpha, alpha2)
+            owned.append(
+                (alpha, (_path(parent, alpha, stop1), _path(parent, alpha2, stop2), None))
+            )
+        if bracket != root_lines:
+            alpha = group[-1]
+            owned.append((alpha, _seam_relation(parent, split_above, alpha, bracket)))
+    owned.sort(key=lambda item: -item[0])
+    return _lattice_model(tp, [rel for _, rel in owned], coordinates, names)
 
 
 def coherence_generators(
@@ -228,39 +265,20 @@ def coherence_generators(
     """All matching relations: a path difference for every pair of splitting
     screens over the same bracket, and a seam-versus-path relation for every
     splitting screen over a non-root bracket."""
-    coords, name_tuple, col, seam_cols = _model_context(tp, coordinates, names)
-    comps = tp.components()
-    parent = tp.component_parent()
-    groups = _multi_groups(comps)
+    screens, parent, split_above, groups = _screen_walk(tp)
     root_lines = frozenset(range(1, tp.r + 1))
-    n = len(coords)
-    rows: list[tuple[int, ...]] = []
-
+    relations = []
     for group in groups.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                beta = _merge_point(group[i], group[j], parent)
-                vec = [0] * n
-                for comp in _components_on_path(group[i], beta, parent):
-                    vec[col[("comp", comp)]] += 1
-                for comp in _components_on_path(group[j], beta, parent):
-                    vec[col[("comp", comp)]] -= 1
-                rows.append(tuple(vec))
-
-    for comp in comps:
+        for i, alpha in enumerate(group):
+            for alpha2 in group[i + 1 :]:
+                beta = _merge_point(parent, alpha, alpha2)
+                relations.append(
+                    (_path(parent, alpha, beta), _path(parent, alpha2, beta), None)
+                )
+    for alpha, comp in enumerate(screens):
         if comp.is_multi and comp.lines != root_lines:
-            above = _first_multi_toward_root(comp, parent)
-            if above is None:
-                raise AssertionError("a non-root splitting screen rests on another")
-            vec = [0] * n
-            vec[col[("seam", comp.lines)]] += 1
-            for step in _components_on_path(comp, above, parent):
-                vec[col[("comp", step)]] -= 1
-            rows.append(tuple(vec))
-
-    return LatticeModel(
-        names=name_tuple, generators=tuple(rows), seam_columns=seam_cols
-    )
+            relations.append(_seam_relation(parent, split_above, alpha, comp.lines))
+    return _lattice_model(tp, relations, coordinates, names)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +388,81 @@ def model_defining_relations(model: LatticeModel) -> list[str]:
         pos = [(model.names[i], e) for i, e in enumerate(gen) if e > 0]
         relations.append(f"{_monomial_string(neg)} = {_monomial_string(pos)}")
     return relations
+
+
+# ---------------------------------------------------------------------------
+# local poset and gluing
+# ---------------------------------------------------------------------------
+
+
+def _supports(model: LatticeModel) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each nonzero generator as (negative support, positive support), in
+    the order of :func:`model_defining_relations`."""
+    return [
+        (
+            tuple(i for i, e in enumerate(gen) if e < 0),
+            tuple(i for i, e in enumerate(gen) if e > 0),
+        )
+        for gen in model.generators
+        if any(gen)
+    ]
+
+
+def _first_broken(
+    supports: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], x: Sequence[int]
+) -> int | None:
+    """Index of the first relation the 0/1 point x breaks, or None.  At a
+    0/1 point a monomial is 1 exactly when its whole support is 1."""
+    for k, (neg, pos) in enumerate(supports):
+        if all(x[i] for i in neg) != all(x[i] for i in pos):
+            return k
+    return None
+
+
+def local_poset_elements(tp: TreePair) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All coherent (q, r) in {0,1}: q over non-root screens in depth-first
+    order, r over non-root interior seam vertices in depth-first order.
+    These are the 0/1 points of the relations of
+    :func:`coherence_generators`, one for each stratum near tp."""
+    model = coherence_generators(tp)
+    supports = _supports(model)
+    n_r = len(model.seam_columns)
+    return [
+        (q, rv)
+        for q in product((0, 1), repeat=model.n_coords - n_r)
+        for rv in product((0, 1), repeat=n_r)
+        if _first_broken(supports, q + rv) is None
+    ]
+
+
+def glue_tree_pair(tp: TreePair, q: Sequence[int], r: Sequence[int]) -> TreePair:
+    """Glue: screens with q = 1 melt into their parents, seam vertices with
+    r = 1 contract; (q, r) must be a 0/1 point of the relations of
+    :func:`coherence_generators`."""
+    model = coherence_generators(tp)
+    seams = non_root_interior(tp.seam_tree)
+    n_q = model.n_coords - len(seams)
+    qt = tuple(int(v) for v in q)
+    rt = tuple(int(v) for v in r)
+    if len(qt) != n_q or any(v not in (0, 1) for v in qt):
+        raise ValueError(f"q must be a 0/1 vector of length {n_q}")
+    if len(rt) != len(seams) or any(v not in (0, 1) for v in rt):
+        raise ValueError(f"r must be a 0/1 vector of length {len(seams)}")
+    broken = _first_broken(_supports(model), qt + rt)
+    if broken is not None:
+        relation = model_defining_relations(model)[broken]
+        raise ValueError(f"incoherent gluing data: breaks {relation}")
+    keep_one = {b for b, v in zip(seams, rt) if v == 0}
+    keep_one.add(tp.seam_tree.root)
+    keep_one.update(frozenset({i}) for i in range(1, tp.r + 1))
+    # the marks' own 2-brackets survive, and so does every screen kept,
+    # the root always
+    _, two = tree_pair_to_two_bracketing(tp)
+    surviving_two = {tb for tb in two if len(tb[0]) == 1 and len(tb[1]) == 1}
+    for comp, v in zip(tp.components(), (0, *qt)):
+        if v == 0:
+            surviving_two.add((comp.lines, comp.subtree_marks()))
+    return two_bracketing_to_tree_pair(tp.n, keep_one, surviving_two)
 
 
 # ---------------------------------------------------------------------------

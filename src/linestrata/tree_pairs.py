@@ -15,8 +15,9 @@ tree — no screen covers them.
 
 Strata are alternatively encoded as bracketings: the seam tree's laminar
 family plus, for every screen, the pair (line set, set of marks below it).
-The dictionary between the two encodings is implemented here and used for the
-degeneration order and for gluing.
+The dictionary between the two encodings is implemented here and gives the
+degeneration order.  A stratum's neighbourhood (its lattice model, local
+poset and gluing) lives in :mod:`linestrata.local_models`.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -47,8 +47,6 @@ __all__ = [
     "poset_leq_tree_pair",
     "non_root_components",
     "non_root_interior",
-    "local_poset_elements",
-    "glue_tree_pair",
 ]
 
 
@@ -139,16 +137,6 @@ class TreePair:
 
         walk(self.root)
         return out
-
-    def component_parent(self) -> dict[Component, Component | None]:
-        out: dict[Component, Component | None] = {self.root: None}
-        for comp in self.components():
-            for child in comp.child_components():
-                out[child] = comp
-        return out
-
-    def multi_components(self) -> list[Component]:
-        return [c for c in self.components() if c.is_multi]
 
     def canonical_key(self) -> str:
         """The stratum's canonical form: its JSON with sorted keys.
@@ -799,7 +787,7 @@ def poset_leq_tree_pair(tp1: TreePair, tp2: TreePair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# local degeneration poset and gluing
+# the coordinates of a stratum's neighbourhood
 # ---------------------------------------------------------------------------
 
 
@@ -809,166 +797,3 @@ def non_root_components(tp: TreePair) -> list[Component]:
 
 def non_root_interior(tree: StableTree) -> list[Bracket]:
     return [b for b in tree.interior_vertices() if b != tree.root]
-
-
-def _first_multi_toward_root(
-    comp: Component, parent: Mapping[Component, Component | None]
-) -> Component | None:
-    cur = parent[comp]
-    while cur is not None:
-        if cur.is_multi:
-            return cur
-        cur = parent[cur]
-    return None
-
-
-def _components_on_path(
-    comp: Component,
-    stop: Component | None,
-    parent: Mapping[Component, Component | None],
-) -> list[Component]:
-    """Screens from comp (inclusive) up to stop (exclusive; None = above root)."""
-    out = [comp]
-    cur = parent[comp]
-    while cur is not stop:
-        if cur is None:
-            raise AssertionError("stop screen is not an ancestor")
-        out.append(cur)
-        cur = parent[cur]
-    return out
-
-
-_Constraint = tuple[str, tuple[int, ...], tuple[int, ...], int | None]
-
-
-def _coherence_constraints(tp: TreePair) -> list[_Constraint]:
-    """The {0,1} path-product identities cutting out the local poset.
-
-    Each constraint is (description, left_path, right_path, seam_index):
-    product over left q-indices must equal product over right q-indices when
-    seam_index is None, and must equal r[seam_index] otherwise.
-    """
-    comps = non_root_components(tp)
-    comp_index = {c: i for i, c in enumerate(comps)}
-    parent = tp.component_parent()
-    seams = non_root_interior(tp.seam_tree)
-    seam_index = {b: i for i, b in enumerate(seams)}
-    multis = tp.multi_components()
-    constraints: list[_Constraint] = []
-
-    def ancestors(comp: Component) -> list[Component]:
-        out = []
-        cur = parent[comp]
-        while cur is not None:
-            out.append(cur)
-            cur = parent[cur]
-        return out
-
-    def path_idx(comp: Component, stop: Component) -> tuple[int, ...]:
-        return tuple(
-            comp_index[c] for c in _components_on_path(comp, stop, parent)
-        )
-
-    for i, alpha1 in enumerate(multis):
-        for alpha2 in multis[i + 1 :]:
-            if alpha1.lines != alpha2.lines:
-                continue
-            common = [
-                beta
-                for beta in ancestors(alpha1)
-                if beta in set(ancestors(alpha2))
-                and not beta.is_multi
-                and beta.lines == alpha1.lines
-            ]
-            for beta in common:
-                constraints.append(
-                    (
-                        f"equal degeneration of the two screens over"
-                        f" {sorted(alpha1.lines)} below their common screen",
-                        path_idx(alpha1, beta),
-                        path_idx(alpha2, beta),
-                        None,
-                    )
-                )
-    for alpha in multis:
-        rho = alpha.lines
-        if rho == tp.seam_tree.root:
-            continue
-        below = _first_multi_toward_root(alpha, parent)
-        if below is None:
-            raise AssertionError("a splitting screen away from the root rests on one")
-        constraints.append(
-            (
-                f"seam vertex {sorted(rho)} glues exactly when the screen over"
-                f" it reaches the splitting screen below",
-                path_idx(alpha, below),
-                (),
-                seam_index[rho],
-            )
-        )
-    return constraints
-
-
-def _first_incoherence(
-    constraints: Sequence[_Constraint],
-    q: Sequence[int],
-    r: Sequence[int],
-) -> str | None:
-    """The description of the first constraint that (q, r) breaks, or None."""
-    for desc, left, right, seam_i in constraints:
-        rhs = prod(q[i] for i in right)
-        if seam_i is not None:
-            rhs *= r[seam_i]
-        if prod(q[i] for i in left) != rhs:
-            return desc
-    return None
-
-
-def local_poset_elements(tp: TreePair) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All coherent (q, r) in {0,1}: q over non-root screens in depth-first
-    order, r over non-root interior seam vertices in depth-first order."""
-    comps = non_root_components(tp)
-    seams = non_root_interior(tp.seam_tree)
-    constraints = _coherence_constraints(tp)
-    return [
-        (q, rv)
-        for q in product((0, 1), repeat=len(comps))
-        for rv in product((0, 1), repeat=len(seams))
-        if _first_incoherence(constraints, q, rv) is None
-    ]
-
-
-def glue_tree_pair(
-    tp: TreePair, q: Sequence[int], r: Sequence[int]
-) -> TreePair:
-    """Glue: screens with q = 1 melt into their parents, seam vertices with
-    r = 1 contract; (q, r) must satisfy the local coherence identities."""
-    comps = non_root_components(tp)
-    seams = non_root_interior(tp.seam_tree)
-    qt = tuple(int(v) for v in q)
-    rt = tuple(int(v) for v in r)
-    if len(qt) != len(comps) or any(v not in (0, 1) for v in qt):
-        raise ValueError(f"q must be a 0/1 vector of length {len(comps)}")
-    if len(rt) != len(seams) or any(v not in (0, 1) for v in rt):
-        raise ValueError(f"r must be a 0/1 vector of length {len(seams)}")
-    desc = _first_incoherence(_coherence_constraints(tp), qt, rt)
-    if desc is not None:
-        raise ValueError(f"incoherent gluing data: {desc}")
-    keep_one = {b for b, v in zip(seams, rt) if v == 0}
-    keep_one.add(tp.seam_tree.root)
-    keep_one.update(frozenset({i}) for i in range(1, tp.r + 1))
-    _, two = tree_pair_to_two_bracketing(tp)
-    surviving_two = {
-        tb
-        for tb in two
-        if len(tb[0]) == 1 and len(tb[1]) == 1
-    }
-    full = frozenset(range(1, tp.r + 1))
-    all_marks = frozenset(
-        (i, j) for i in range(1, tp.r + 1) for j in range(1, tp.n[i - 1] + 1)
-    )
-    surviving_two.add((full, all_marks))
-    for comp, v in zip(comps, qt):
-        if v == 0:
-            surviving_two.add((comp.lines, comp.subtree_marks()))
-    return two_bracketing_to_tree_pair(tp.n, keep_one, surviving_two)

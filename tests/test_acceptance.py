@@ -26,16 +26,16 @@ from linestrata.local_models import (
     build_witness_system,
     canonical_generators,
     coherence_generators,
+    glue_tree_pair,
     lattice_is_saturated,
     lattice_span_equal,
+    local_poset_elements,
     monoid_saturation_witness,
     solve_difference_constraints,
 )
 from linestrata.tree_pairs import (
     enumerate_tree_pairs,
     f_vector,
-    glue_tree_pair,
-    local_poset_elements,
     poset_leq_tree_pair,
     stratum_dimension,
     tree_pair_to_two_bracketing,

@@ -160,6 +160,21 @@ def test_check_local_model_enumerates_once(monkeypatch, capsys):
     assert calls == [(2, 1)]
 
 
+@pytest.mark.parametrize("n, strata", [("1,1,1,1,1", 453_032), ("2,2,2,2", 374_415_744)])
+def test_check_local_model_refuses_too_many_strata(n, strata, monkeypatch, capsys):
+    # both pass the |n| + r guard; counting their strata is what stops them,
+    # before a single stratum is built
+    def refuse(n):
+        raise AssertionError(f"enumerate_tree_pairs({n}) called")
+
+    monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", refuse)
+    assert run(["check-local-model", n]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith(f"error: {strata} strata exceed the bound")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
 def test_check_local_model_jobs_do_not_change_output(fmt, capsys):
     argv = ["check-local-model", "2,1", "--trials", "3", "--format", fmt]
@@ -372,6 +387,27 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             "transition-check",
             _with(TRANSITION_SPEC, "slices2", ["3-4", "3-4"], "2-3-4"),
             "transition check failed: slice of vertex [2, 3, 4] pins [3, 4] twice",
+        ),
+        ("chart-eval", _with(CHART_SPEC, "curve", [1]), "curve must be a JSON object"),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "curve", [1], "positions"),
+            "positions must be a JSON object",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "curve", {"1-2": None}, "positions"),
+            "positions of 1-2 must be a list, got None",
+        ),
+        (
+            "chart-eval",
+            _with(
+                CHART_SPEC,
+                "curve",
+                {"1-2-3-4": ["0", "1"], "1-3-4": ["0", None], "3-4": ["0", "1"]},
+                "positions",
+            ),
+            "expected a number or a fraction string, got None",
         ),
     ],
 )

@@ -24,6 +24,7 @@ from linestrata.local_models import (
     lattice_coordinates,
     lattice_is_saturated,
     lattice_span_equal,
+    local_poset_elements,
     model_defining_relations,
     monoid_saturation_witness,
     solve_difference_constraints,
@@ -343,6 +344,39 @@ def test_small_sweep_span_saturation_incidence():
                 monoid_saturation_witness(model, tuple(base), rng.randint(2, 4))
             checked += 1
     assert checked > 20
+
+
+def _zero_one_points(model):
+    """The 0/1 points of a model's binomials, as bitmasks over its
+    coordinates: a monomial is 1 there exactly when all of its support is."""
+    supports = [
+        (
+            sum(1 << i for i, e in enumerate(gen) if e < 0),
+            sum(1 << i for i, e in enumerate(gen) if e > 0),
+        )
+        for gen in model.generators
+    ]
+    return {
+        x
+        for x in range(1 << model.n_coords)
+        if all((x & neg == neg) == (x & pos == pos) for neg, pos in supports)
+    }
+
+
+def test_generator_families_have_the_same_zero_one_points():
+    # equal spans do not imply equal 0/1 points, so both are checked
+    checked = 0
+    for n in sweep_types(6):
+        for tp in enumerate_tree_pairs(n):
+            points = _zero_one_points(coherence_generators(tp))
+            assert _zero_one_points(canonical_generators(tp)) == points, n
+            poset = {
+                sum(v << i for i, v in enumerate(q + r))
+                for q, r in local_poset_elements(tp)
+            }
+            assert poset == points, n
+            checked += 1
+    assert checked == 4076
 
 
 # ---------------------------------------------------------------------------

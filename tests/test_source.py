@@ -1,7 +1,10 @@
 """Invariants of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import linestrata
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "linestrata"
 
@@ -17,3 +20,20 @@ def test_no_assert_statements():
     ]
     assert sorted(SOURCE.glob("*.py")), SOURCE
     assert not found, found
+
+
+def test_exports_resolve():
+    # a name left in __all__ after its definition moved away fails here
+    modules = [linestrata] + [
+        importlib.import_module(f"linestrata.{path.stem}")
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 5
+    assert not missing, missing

@@ -10,6 +10,12 @@ from pathlib import Path
 import pytest
 
 import linestrata
+from linestrata.local_models import (
+    coherence_generators,
+    glue_tree_pair,
+    local_poset_elements,
+    model_defining_relations,
+)
 from linestrata.tree_pairs import (
     Component,
     Mark,
@@ -18,8 +24,6 @@ from linestrata.tree_pairs import (
     enumerate_tree_pairs,
     enumerate_two_bracketings_bruteforce,
     f_vector,
-    glue_tree_pair,
-    local_poset_elements,
     non_root_components,
     non_root_interior,
     poset_leq_tree_pair,
@@ -289,8 +293,13 @@ def test_glue_rejects_incoherent_data():
             if (q, r) not in elements:
                 bad = (q, r)
     assert bad is not None
-    with pytest.raises(ValueError, match="incoherent"):
+    with pytest.raises(ValueError, match="incoherent") as info:
         glue_tree_pair(tp, *bad)
+    # the message names the broken relation as the lattice model writes it
+    relations = model_defining_relations(coherence_generators(tp))
+    prefix = "incoherent gluing data: breaks "
+    message = str(info.value)
+    assert message.startswith(prefix) and message[len(prefix) :] in relations
 
 
 def test_glue_is_order_embedding_with_interval_image():
