@@ -20,6 +20,13 @@ from .trees import Bracket, StableTree, glue_tree
 from .tree_pairs import Component, Mark, TreePair
 
 
+def _fraction(value: object) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"expected a number or a fraction string, got {value!r}")
+
+
 class AtInfinity:
     """Placeholder position for vertices outside a subtree.
 
@@ -90,7 +97,7 @@ class StableCurve:
             key = frozenset(key)
             if key not in interior:
                 raise ValueError(f"{sorted(key)} is not an interior vertex")
-            values = tuple(Fraction(v) for v in values)
+            values = tuple(_fraction(v) for v in values)
             if len(values) != self.tree.in_degree(key):
                 raise ValueError(
                     f"screen at {sorted(key)} needs "
@@ -128,12 +135,21 @@ class StableCurve:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "StableCurve":
+    def from_json(cls, data: object) -> "StableCurve":
+        """Parse :meth:`to_json` output; a malformed shape is a ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"curve must be a JSON object, got {type(data).__name__}")
         tree = StableTree.from_json(data["tree"])
+        entries = data["positions"]
+        if not isinstance(entries, Mapping):
+            raise ValueError(
+                f"positions must be a JSON object, got {type(entries).__name__}"
+            )
         positions = {}
-        for label, values in data["positions"].items():
-            vertex = frozenset(int(p) for p in label.split("-"))
-            positions[vertex] = tuple(Fraction(v) for v in values)
+        for label, values in entries.items():
+            if not isinstance(values, list):
+                raise ValueError(f"positions of {label} must be a list, got {values!r}")
+            positions[frozenset(int(p) for p in label.split("-"))] = values
         return cls(tree, positions)
 
 
@@ -246,7 +262,7 @@ def evaluate_chart(
     tree = curve.tree
     if slices is not None:
         check_slices(curve, slices)
-    values = {frozenset(k): Fraction(v) for k, v in b.items()}
+    values = {frozenset(k): _fraction(v) for k, v in b.items()}
     interior = tree.interior_vertices()
     root = tree.root
     if set(values) != {v for v in interior if v != root}:

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .charts import (
@@ -90,27 +89,10 @@ def _parse_vertex(label: object) -> frozenset[int]:
     return frozenset(int(p) for p in label.split("-"))
 
 
-def _parse_fraction(value: object) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"expected a number or a fraction string, got {value!r}")
-
-
 def _parse_object(data: object, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     return data
-
-
-def _parse_curve(data: object) -> StableCurve:
-    curve = _parse_object(data, "curve")
-    positions = {}
-    for label, values in _parse_object(curve["positions"], "positions").items():
-        if not isinstance(values, list):
-            raise ValueError(f"positions of {label} must be a list, got {values!r}")
-        positions[_parse_vertex(label)] = tuple(_parse_fraction(v) for v in values)
-    return StableCurve(StableTree.from_json(curve["tree"]), positions)
 
 
 def _parse_slices(data: object) -> dict:
@@ -323,9 +305,9 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read chart spec: {exc}")
     try:
-        curve = _parse_curve(spec["curve"])
+        curve = StableCurve.from_json(spec["curve"])
         glue = {
-            _parse_vertex(label): _parse_fraction(value)
+            _parse_vertex(label): value
             for label, value in _parse_object(spec["glue"], "glue").items()
         }
         slices = _parse_slices(spec["slices"]) if "slices" in spec else None

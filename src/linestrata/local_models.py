@@ -140,6 +140,8 @@ def _path(parent: Sequence[int], start: int, stop: int) -> list[int]:
     (exclusive)."""
     out = []
     while start != stop:
+        if start < 0:
+            raise AssertionError("stop screen is not an ancestor")
         out.append(start)
         start = parent[start]
     return out
@@ -202,7 +204,9 @@ def _lattice_model(
         if len(name_tuple) != len(coords):
             raise ValueError("names length does not match coordinate count")
     k = sum(1 for kind, _ in default if kind == "comp")
-    screen_col = [-1, *columns[:k]]
+    # The root screen (walk index 0) has no column; None makes a root in a
+    # relation fail instead of writing to another coordinate.
+    screen_col = [None, *columns[:k]]
     seam_col = {bracket: c for (_, bracket), c in zip(default[k:], columns[k:])}
     rows = []
     for plus, minus, seam in relations:

@@ -98,6 +98,28 @@ def test_json_round_trip():
     assert StableCurve.from_json(curve.to_json()) == curve
 
 
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda data: [1], "curve must be a JSON object, got list"),
+        (lambda data: {**data, "positions": [1]}, "positions must be a JSON object"),
+        (
+            lambda data: {**data, "positions": {"3-4": None}},
+            "positions of 3-4 must be a list, got None",
+        ),
+        (
+            lambda data: {**data, "positions": {"3-4": ["0", None]}},
+            "expected a number or a fraction string, got None",
+        ),
+    ],
+)
+def test_from_json_refuses_malformed_shapes(edit, error):
+    tree, slices = left_comb()
+    data = pinned_curve(tree, slices).to_json()
+    with pytest.raises(ValueError, match=error):
+        StableCurve.from_json(edit(data))
+
+
 def test_extract_q_factor():
     # root positions 0, 1, 3 with a nested pair: the pair separation factor
     # keeps a nonzero constant term

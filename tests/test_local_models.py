@@ -18,6 +18,8 @@ from linestrata.local_models import (
     DiffConstraintSystem,
     LatticeModel,
     _incidence,
+    _lattice_model,
+    _path,
     build_witness_system,
     canonical_generators,
     coherence_generators,
@@ -491,3 +493,13 @@ def test_solver_with_open_bounds():
         else:
             # infeasible must also mean no point in a generous box
             assert not _brute_force_feasible(system, radius=8), system
+
+
+def test_walk_index_guards_fail_loudly():
+    # A stop that is not an ancestor ends at the root's -1, not in a loop.
+    with pytest.raises(AssertionError, match="not an ancestor"):
+        _path([-1, 0, 0], 2, 1)
+    # The root screen has no coordinate, so a relation through it is refused.
+    tp = next(tp for tp in enumerate_tree_pairs((1, 1)) if tp.dimension == 0)
+    with pytest.raises(TypeError):
+        _lattice_model(tp, [((0,), (), None)], None, None)
