@@ -139,6 +139,9 @@ class StableCurve:
         """Parse :meth:`to_json` output; a malformed shape is a ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError(f"curve must be a JSON object, got {type(data).__name__}")
+        for key in ("tree", "positions"):
+            if key not in data:
+                raise ValueError(f'curve has no "{key}" entry')
         tree = StableTree.from_json(data["tree"])
         entries = data["positions"]
         if not isinstance(entries, Mapping):

@@ -89,6 +89,12 @@ def _parse_vertex(label: object) -> frozenset[int]:
     return frozenset(int(p) for p in label.split("-"))
 
 
+def _entry(spec: dict, key: str, what: str) -> object:
+    if key not in spec:
+        raise ValueError(f'{what} has no "{key}" entry')
+    return spec[key]
+
+
 def _parse_object(data: object, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
@@ -109,6 +115,13 @@ def _parse_slices(data: object) -> dict:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _reason(exc: Exception) -> str:
+    # str() of a KeyError is the repr of its argument, quotes included
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
 
 
 def _exceeds_guard(label: str, size: int, max_size: int | None, guard: int) -> bool:
@@ -305,15 +318,13 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read chart spec: {exc}")
     try:
-        curve = StableCurve.from_json(spec["curve"])
-        glue = {
-            _parse_vertex(label): value
-            for label, value in _parse_object(spec["glue"], "glue").items()
-        }
+        curve = StableCurve.from_json(_entry(spec, "curve", "chart spec"))
+        glue_spec = _parse_object(_entry(spec, "glue", "chart spec"), "glue")
+        glue = {_parse_vertex(label): value for label, value in glue_spec.items()}
         slices = _parse_slices(spec["slices"]) if "slices" in spec else None
         glued = evaluate_chart(curve, glue, slices=slices)
     except (KeyError, ValueError) as exc:
-        return _fail(str(exc))
+        return _fail(_reason(exc))
     if args.format == "json":
         _emit_json(glued.to_json())
     else:
@@ -329,12 +340,12 @@ def _cmd_transition_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read transition spec: {exc}")
     try:
-        tree1 = StableTree.from_json(spec["tree1"])
-        tree2 = StableTree.from_json(spec["tree2"])
-        slices1 = _parse_slices(spec["slices1"])
-        slices2 = _parse_slices(spec["slices2"])
+        tree1 = StableTree.from_json(_entry(spec, "tree1", "transition spec"))
+        tree2 = StableTree.from_json(_entry(spec, "tree2", "transition spec"))
+        slices1 = _parse_slices(_entry(spec, "slices1", "transition spec"))
+        slices2 = _parse_slices(_entry(spec, "slices2", "transition spec"))
     except (KeyError, ValueError) as exc:
-        return _fail(str(exc))
+        return _fail(_reason(exc))
     try:
         report = transition_check(
             tree1,

@@ -13,6 +13,17 @@ whole space being the only exception), and a multi screen carries at least one
 object overall.  Seam subtrees with no marks below them exist only in the seam
 tree — no screen covers them.
 
+Enumeration makes the choices of the VPP recursion (:mod:`linestrata.vpp`),
+read from a screen over several lines down.  Each factor presents its marks
+as a set partition into k screens under a fusion tree, one of the stable
+trees on k leaves, whose interior vertices are single screens over all the
+lines; the presentation does not depend on how the lines separate.  The
+lines then separate into a partition of at least two parts, shared by every
+screen, and each screen picks one row, an entry per part: over a single line
+the seam children of its marks there, over a fat part a set partition of its
+marks there into sub-screen groups.  The groups over a fat part, pooled
+across all screens, are the factors of one smaller fiber over the part.
+
 Strata are alternatively encoded as bracketings: the seam tree's laminar
 family plus, for every screen, the pair (line set, set of marks below it).
 The dictionary between the two encodings is implemented here and gives the
@@ -24,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -368,72 +379,53 @@ def _line_bubbles(line: int, marks: tuple[Mark, ...], top: bool) -> list[Compone
     ]
 
 
-# A screen plan: per singleton part, the finished seam children; per fat
-# part, the groups of marks that will each become one sub-screen tree.
-@dataclass(frozen=True)
-class _ScreenPlan:
-    singleton_children: tuple[tuple[int, tuple[Component | Mark, ...]], ...]
-    fat_blocks: tuple[tuple[tuple[int, ...], tuple[tuple[Mark, ...], ...]], ...]
+@lru_cache(maxsize=None)
+def _fusion_trees(k: int) -> tuple[StableTree, ...]:
+    """The stable trees on k screens, shared by every call."""
+    return tuple(enumerate_stable_trees(k))
 
 
-def _screen_plans(
-    marks: tuple[Mark, ...], parts: tuple[tuple[int, ...], ...]
-) -> list[_ScreenPlan]:
-    per_part_options: list[list] = []
+def _fuse(tree: StableTree, screens: Sequence[Component], lines: frozenset[int]) -> Component:
+    """A factor's root: its screens, leaf i of the fusion tree being
+    screens[i - 1], under one single screen per interior vertex."""
+
+    def build(vertex: Bracket) -> Component:
+        if len(vertex) == 1:
+            return screens[min(vertex) - 1]
+        kids = _sorted_children(build(child) for child in tree.children(vertex))
+        return Component(lines, (Seam(lines, kids),))
+
+    return build(tree.root)
+
+
+def _screen_rows(screen: tuple[Mark, ...], parts: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """A screen's rows under a line partition, an entry per part: over a
+    single line the seam children of its marks there, over a fat part a set
+    partition of its marks there into sub-screen groups."""
+    options = []
     for part in parts:
-        part_marks = tuple(m for m in marks if m.line in part)
+        here = tuple(m for m in screen if m.line in part)
         if len(part) == 1:
-            line = part[0]
             # no minimum: a line without marks keeps its one empty seam
-            per_part_options.append(
-                [
-                    ("single", line, children)
-                    for children in _line_children(line, part_marks, 0)
-                ]
-            )
+            options.append(list(_line_children(part[0], here, 0)))
         else:
-            opts2: list[tuple[tuple[Mark, ...], ...]] = []
-            for groups in set_partitions(list(part_marks)):
-                opts2.append(tuple(tuple(g) for g in groups))
-            per_part_options.append([("fat", part, blocks) for blocks in opts2])
-    plans: list[_ScreenPlan] = []
-    for combo in product(*per_part_options):
-        singles = tuple(
-            (line, children) for kind, line, children in combo if kind == "single"
-        )
-        fats = tuple(
-            (part, blocks) for kind, part, blocks in combo if kind == "fat"
-        )
-        plans.append(_ScreenPlan(singles, fats))
-    return plans
+            options.append([tuple(map(tuple, groups)) for groups in set_partitions(here)])
+    return list(product(*options))
 
 
-# A factor plan: nested fusion structure whose leaves are screen plans.
-_FactorPlan = tuple  # ("screen", _ScreenPlan) | ("fused", tuple[_FactorPlan, ...])
-
-
-def _factor_plans(
-    marks: tuple[Mark, ...], parts: tuple[tuple[int, ...], ...]
-) -> list[_FactorPlan]:
-    if not marks:
-        raise AssertionError("screens always carry at least one mark")
-    plans: list[_FactorPlan] = [("screen", sp) for sp in _screen_plans(marks, parts)]
-    for groups in set_partitions(list(marks)):
-        if len(groups) < 2:
-            continue
-        options = [_factor_plans(tuple(g), parts) for g in groups]
-        for combo in product(*options):
-            plans.append(("fused", combo))
-    return plans
-
-
-def _plan_screens(plan: _FactorPlan) -> list[_ScreenPlan]:
-    if plan[0] == "screen":
-        return [plan[1]]
-    out: list[_ScreenPlan] = []
-    for sub in plan[1]:
-        out.extend(_plan_screens(sub))
-    return out
+def _multi_screen(
+    lines: frozenset[int], seam_lines: Sequence[frozenset[int]], row: tuple, fed: Mapping
+) -> Component:
+    """A screen on which the lines separate, from its row: over a single
+    line the entry is the seam's children, over the fat part j the seam
+    takes the next roots fed from the part's sub-fiber, one per group."""
+    return Component(
+        lines,
+        tuple(
+            Seam(part, _sorted_children(islice(fed[j], len(entry))) if j in fed else entry)
+            for j, (part, entry) in enumerate(zip(seam_lines, row))
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -443,88 +435,55 @@ def _enum_fiber(
     """All (interior sub-brackets, per-factor root screens) over the lines.
 
     The brackets returned are the interior vertices strictly inside the line
-    set; the caller owns the vertex for the line set itself.
+    set; the caller owns the vertex for the line set itself.  Over several
+    lines, each factor presents its screens under a fusion tree; then, per
+    line partition, each screen picks a row, and the groups over each fat
+    part are pooled into one sub-fiber, whose roots come back in the order
+    the groups went in (see the module docstring).
     """
+    if any(not marks for marks in factors):
+        raise ValueError("a factor with no marks cannot cover a line")
     if len(lines) == 1:
-        line = lines[0]
-        if any(not marks for marks in factors):
-            raise ValueError("a factor with no marks cannot cover a line")
-        options = [_line_bubbles(line, marks, True) for marks in factors]
-        return tuple(
-            (frozenset(), tuple(combo)) for combo in product(*options)
-        )
+        options = [_line_bubbles(lines[0], marks, True) for marks in factors]
+        return tuple((frozenset(), combo) for combo in product(*options))
 
+    full = frozenset(lines)
+    presentations = [
+        [
+            (tuple(map(tuple, screens)), tree)
+            for screens in set_partitions(marks)
+            for tree in _fusion_trees(len(screens))
+        ]
+        for marks in factors
+    ]
+    distinct = {s for options in presentations for blocks, _ in options for s in blocks}
     results: list[tuple[frozenset[Bracket], tuple[Component, ...]]] = []
-    for raw_parts in set_partitions(sorted(lines)):
-        if len(raw_parts) < 2:
-            continue
-        parts = tuple(sorted((tuple(sorted(p)) for p in raw_parts), key=lambda p: p[0]))
-        fat_parts = [p for p in parts if len(p) >= 2]
-        factor_plan_options = [_factor_plans(marks, parts) for marks in factors]
-        for plan_combo in product(*factor_plan_options):
-            screens: list[_ScreenPlan] = []
-            for plan in plan_combo:
-                screens.extend(_plan_screens(plan))
-            # pool the fat-part groups across all screens, remembering owners
-            pooled: dict[tuple[int, ...], list[tuple[int, int]]] = {
-                p: [] for p in fat_parts
-            }
-            pooled_factors: dict[tuple[int, ...], list[tuple[Mark, ...]]] = {
-                p: [] for p in fat_parts
-            }
-            for s_idx, sp in enumerate(screens):
-                for part, blocks in sp.fat_blocks:
-                    for b_idx, block in enumerate(blocks):
-                        pooled[part].append((s_idx, b_idx))
-                        pooled_factors[part].append(block)
-            sub_options = [
-                _enum_fiber(p, tuple(pooled_factors[p])) for p in fat_parts
-            ]
-            for sub_combo in product(*sub_options):
-                brackets: set[Bracket] = set()
-                # roots of the pooled sub-screens, keyed back to their owner
-                assigned: dict[tuple[tuple[int, ...], int, int], Component] = {}
-                for p, (sub_brackets, sub_roots) in zip(fat_parts, sub_combo):
-                    brackets.add(frozenset(p))
-                    brackets.update(sub_brackets)
-                    for (s_idx, b_idx), root in zip(pooled[p], sub_roots):
-                        assigned[(p, s_idx, b_idx)] = root
-                built_screens: list[Component] = []
-                for s_idx, sp in enumerate(screens):
-                    seams: list[Seam] = []
-                    singleton_map = dict(sp.singleton_children)
-                    fat_map = dict(sp.fat_blocks)
-                    for part in parts:
-                        if len(part) == 1:
-                            children = singleton_map.get(part[0], ())
-                            seams.append(Seam(frozenset(part), children))
-                        else:
-                            blocks = fat_map.get(part, ())
-                            kids = tuple(
-                                assigned[(part, s_idx, b_idx)]
-                                for b_idx in range(len(blocks))
-                            )
-                            seams.append(
-                                Seam(frozenset(part), _sorted_children(kids))
-                            )
-                    built_screens.append(
-                        Component(frozenset(lines), tuple(seams))
+    for raw_parts in set_partitions_at_least(sorted(lines), 2):
+        parts = sorted(map(tuple, raw_parts))
+        seam_lines = [frozenset(part) for part in parts]
+        fat = [j for j, part in enumerate(parts) if len(part) > 1]
+        rows = {screen: _screen_rows(screen, parts) for screen in distinct}
+        for presented in product(*presentations):
+            screens = [screen for blocks, _ in presented for screen in blocks]
+            for picked in product(*(rows[screen] for screen in screens)):
+                subs = [
+                    _enum_fiber(parts[j], tuple(g for row in picked for g in row[j]))
+                    for j in fat
+                ]
+                for sub_combo in product(*subs):
+                    brackets = {seam_lines[j] for j in fat}
+                    fed = {}
+                    for j, (sub_brackets, sub_roots) in zip(fat, sub_combo):
+                        brackets |= sub_brackets
+                        fed[j] = iter(sub_roots)
+                    built = iter(
+                        [_multi_screen(full, seam_lines, row, fed) for row in picked]
                     )
-
-                def build(plan: _FactorPlan, cursor: list[int]) -> Component:
-                    if plan[0] == "screen":
-                        comp = built_screens[cursor[0]]
-                        cursor[0] += 1
-                        return comp
-                    children = tuple(build(sub, cursor) for sub in plan[1])
-                    return Component(
-                        frozenset(lines),
-                        (Seam(frozenset(lines), _sorted_children(children)),),
+                    roots = tuple(
+                        _fuse(tree, list(islice(built, len(blocks))), full)
+                        for blocks, tree in presented
                     )
-
-                cursor = [0]
-                roots = tuple(build(plan, cursor) for plan in plan_combo)
-                results.append((frozenset(brackets), roots))
+                    results.append((frozenset(brackets), roots))
     return tuple(results)
 
 

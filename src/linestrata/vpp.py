@@ -91,11 +91,16 @@ see :mod:`~linestrata.tree_pairs`) makes exactly one such choice at every
 level, and every choice is made by exactly one stratum; the single-line and
 single-mark shortcuts of ``_fiber`` are isomorphisms of stratified spaces.
 The terms of a screen distribution's ``_seam(k)`` are exactly the
-hierarchies above its k screens, so the bijection still holds there.  The
-term's weight is then its stratum's polynomial (``stratum_vpp``), a product
-of open configuration spaces: monic of degree the stratum's dimension, since
-``config(l, k)`` is monic of degree l, ``qconfig(m)`` of degree m - 2, and
-each screen division lowers the degree by one.  Sending each primitive to
+hierarchies above its k screens, so the bijection still holds there.
+:func:`~linestrata.tree_pairs.enumerate_tree_pairs` lists the same terms:
+its ``_enum_fiber`` makes the same choices level by level, and takes the
+hierarchies above a factor's k screens from
+:func:`~linestrata.trees.enumerate_stable_trees`, so each stratum it builds
+is one term here.  A term's weight is its stratum's polynomial
+(``stratum_vpp``), a product of open configuration spaces: monic of degree
+the stratum's dimension, since ``config(l, k)`` is monic of degree l,
+``qconfig(m)`` of degree m - 2, and each screen division lowers the degree
+by one.  Sending each primitive to
 t^degree therefore sends each term to t^dimension, and the whole sum to the
 generating function of the f-vector.  Each term weighs at least 1 in the
 bound ring, so N also bounds every stratum count, and with t = 2^K the

@@ -409,6 +409,26 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             ),
             "expected a number or a fraction string, got None",
         ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "glue", DROP),
+            'chart spec has no "glue" entry',
+        ),
+        (
+            "transition-check",
+            _with(TRANSITION_SPEC, "tree2", DROP),
+            'transition spec has no "tree2" entry',
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "curve", DROP, "positions"),
+            'curve has no "positions" entry',
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "slices", ["1", "9"], "1-3-4"),
+            "[9] is not a vertex of the tree",
+        ),
     ],
 )
 def test_malformed_specs_are_errors(command, spec, error, tmp_path, capsys):

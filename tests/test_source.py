@@ -37,3 +37,50 @@ def test_exports_resolve():
     ]
     assert len(modules) > 5
     assert not missing, missing
+
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    ]
+
+
+def test_private_names_are_used():
+    # a helper left behind when its last caller goes is dead code: every
+    # module-level _name is loaded somewhere outside its own definition
+    defined: dict[str, list[str]] = {}
+    used: set[str] = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = _top_level_names(node)
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, []).append(path.name)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    loaded = sub.id
+                elif isinstance(sub, ast.alias):
+                    loaded = sub.name
+                else:
+                    continue
+                if loaded not in own:
+                    used.add(loaded)
+    assert "_enum_fiber" in defined
+    unused = sorted(
+        f"{path}:{name}"
+        for name, paths in defined.items()
+        if name not in used
+        for path in paths
+    )
+    assert not unused, unused

@@ -76,6 +76,12 @@ ORDER_DIGESTS = {
     (1, 1, 1): "22edf7968fc5af3780ff036e03db6f27bb2097db5f4885f3f1e5e0d3fe686b16",
     (2, 2): "851434f360deb30daf51018ed9b4995f139fc6fc8b82ea24333e8c3a47bfd25e",
     (3, 0, 0): "f9faa03cb264528f76d2c9c2d7a1a2ec3dba1ba5edeab6d2dd4b7acb4e4a652d",
+    # nested fusion trees and pooled fat parts, frozen from the enumeration
+    # that built fusion levels from recursive plans
+    (2, 1, 1): "847a282e897d493c27fb739f56f7fa923efc81aedbf78a4f23c0c99643d1a61b",
+    (0, 2, 1): "0f264737ed034c24c830cde0653dd69e477b664f8836b2dc90e777e0ac0988ff",
+    (3, 2): "3b8b99b6190b3f6f1717b066d1343d1aada4d42a09fef77d7022a2e146c145ad",
+    (1, 1, 1, 1): "20de74432352534fc96f9a2174db4ca9d9cd45358df825b0bb516b216b9218f6",
 }
 
 

@@ -17,6 +17,7 @@ from linestrata._combi import vector_partitions
 from linestrata.cli import run
 from linestrata.exact_poly import UniPoly, config_poly, quotient_config_poly
 from linestrata.tree_pairs import enumerate_tree_pairs, f_vector
+from linestrata.trees import enumerate_stable_trees, tree_dimension
 from linestrata.vpp import (
     IntRing,
     stratum_counts,
@@ -291,6 +292,26 @@ def test_screen_distribution_closed_form(ring):
                 assert _comparable(closed) == _comparable(oracle), v
     with pytest.raises(ValueError, match="carries no marks"):
         vpp_module._screen_distribution(ring, (0, 0))
+
+
+def test_seam_polynomial_sums_the_stable_trees():
+    # p_k sums the stable trees on k leaves, a vertex with c children
+    # weighing qconfig(c); the enumerator takes the fusion trees above a
+    # factor's k screens from the same list, so it lists the terms that the
+    # dimension-marker ring counts
+    for k in range(1, 7):
+        trees = enumerate_stable_trees(k)
+        total = UniPoly.zero()
+        for tree in trees:
+            term = UniPoly.one()
+            for vertex in tree.interior_vertices():
+                term = term * quotient_config_poly(tree.in_degree(vertex))
+            total = total + term
+        assert total == vpp_seam(k), k
+        counts = [0] * (max(map(tree_dimension, trees)) + 1)
+        for tree in trees:
+            counts[tree_dimension(tree)] += 1
+        assert counts == vpp_module._evaluate([(k, ())], 0)[0], k
 
 
 def _types(max_size):
