@@ -14,7 +14,7 @@ Vector = tuple[int, ...]
 def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
     """All set partitions of items, each partition a list of nonempty blocks.
 
-    Blocks appear in order of their smallest original index, so the output is
+    The order of the partitions, and of the blocks within each, is
     deterministic for a fixed input order.
     """
     items = list(items)

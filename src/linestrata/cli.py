@@ -18,7 +18,6 @@ from typing import Sequence
 from .charts import (
     StableCurve,
     evaluate_chart,
-    pinned_curve,
     transition_check,
     vertex_label,
 )
@@ -35,7 +34,7 @@ from .trees import StableTree
 from .vpp import stratum_counts, vpp, vpp_table
 
 ENUM_GUARD = 12
-VPP_GUARD = 8
+VPP_GUARD = 9
 STRATA_GUARD = 20_000
 
 

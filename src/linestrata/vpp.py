@@ -22,7 +22,8 @@ root screen:
   marks over a fat part are distributed into sub-screens whose pooled
   collection forms a smaller fiber product over that part;
 * every screen is taken modulo its two-dimensional reparametrization group,
-  dividing out one factor of q = x^2 (the division is checked to be exact);
+  dividing out one factor of q = x^2 (the division is checked to be exact,
+  see below);
 * a fat part carrying no marks at all still degenerates the shared base and
   contributes the bare seam polynomial of the part.
 
@@ -31,8 +32,25 @@ each line a group holds.  So the sums over set partitions of marks run over
 partitions of count vectors instead
 (:func:`~linestrata._combi.vector_partitions`), each weighted by the number
 of labelled set partitions it stands for: the exponential formula for
-labelled structures.  Only the sum over shared line partitions stays
-labelled, since the lines of a screen are not interchangeable there.
+labelled structures.  The sum over shared line partitions takes the same
+step.  Write the pooled screens as a matrix, one row per screen and one
+column per line.  A part's factor depends only on the multiset of its
+lines' columns, so lines with equal columns are interchangeable: the sum
+runs over partitions of the vector counting the lines of each column type,
+each computed once on representative lines and weighted by its
+multiplicity.  When all columns differ, these are the labelled set
+partitions, each of multiplicity 1.  Relabelling the lines permutes the
+columns and leaves the sum unchanged, so the screens are cached with their
+columns sorted, then their rows.
+
+A screen's division by q is taken from a single part: the one holding the
+screen's first marked line.  On that line, or over that fat part, the
+screen's marks sit at one or more distinct heights, so every term of the
+part's factor carries a ``config(l >= 1, 0)``, which has the root q = 0.
+Each screen has exactly one first marked line, so every screen is divided
+out once, and each part's factor is divided once, before it enters any
+product.  Every division is checked, so this checks each part on its own,
+where one division of the product would check only their total.
 
 Weight rings
 ------------
@@ -108,11 +126,15 @@ counts are the digits of the result.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Sequence
 
-from ._combi import Vector, set_partitions, vector_partitions
+from ._combi import Vector, vector_partitions
+# bound but never called: benchmarks/tracer.py counts the set partitions
+# taken by each module that binds this name, and the benchmark reports this
+# module's count, which is 0 since line partitions are summed by column type
+from ._combi import set_partitions as set_partitions
 from .exact_poly import UniPoly, config_poly, quotient_config_poly
 
 __all__ = [
@@ -400,35 +422,77 @@ def _pool(options: Sequence[Sequence[tuple[tuple[Vector, ...], object]]]) -> dic
     return pooled
 
 
-def _part_factor(ring, part: tuple[int, ...], screens: tuple[Vector, ...]):
-    """Contribution of one part of the shared line partition."""
-    if len(part) > 1:
+def _part_factor(ring, columns: Sequence[Vector]):
+    """Contribution of one part of the shared line partition, given the
+    columns of its lines: each line's marks on every screen."""
+    if len(columns) > 1:
         # the factor sees only the screens' marks over the part, as a multiset
-        subs = tuple(sorted(tuple(s[line - 1] for line in part) for s in screens))
-        return _fat_part(ring, len(part), subs)
+        return _fat_part(ring, len(columns), tuple(sorted(zip(*columns))))
     out = ring.constant(1)
-    for s in screens:
-        out = out * _point_factor(ring, s[part[0] - 1])
+    for c in columns[0]:
+        out = out * _point_factor(ring, c)
     return out
 
 
 @lru_cache(maxsize=None)
-def _all_root(ring, r: int, screens: tuple[Vector, ...]):
-    """Sum over shared line partitions for a fixed pooled screen multiset."""
-    # a part's factor does not depend on the rest of the partition
-    factors: dict = {}
-    total = ring.constant(0)
-    for parts in set_partitions(list(range(1, r + 1))):
-        if len(parts) < 2:
+def _line_partitions(counts: Vector) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Partitions into at least two parts of lines of which counts[j] share
+    the j-th column type: one labelled representative of each partition of
+    counts, with its multiplicity.
+
+    Lines are numbered type by type from 0, and a representative hands each
+    type's lines to its parts in order.  With every count 1, these are the
+    set partitions of the lines, each of multiplicity 1.  Returns the
+    distinct parts, and by number of parts k the representatives as tuples
+    of indices into those parts, with their multiplicities.
+    """
+    starts = [sum(counts[:j]) for j in range(len(counts))]
+    index: dict[tuple[int, ...], int] = {}
+    by_size: dict[int, list] = {}
+    for blocks, mult in vector_partitions(counts):
+        if len(blocks) < 2:
             continue
-        keys = [tuple(part) for part in parts]
-        for key in keys:
-            if key not in factors:
-                factors[key] = _part_factor(ring, key, screens)
-        prod = reduce(mul, (factors[key] for key in keys))
-        # one q of screen reparametrizations divided out per screen; the
-        # division must be exact
-        total = total + ring.qconfig(len(parts)) * ring.divide(prod, len(screens))
+        taken = list(starts)
+        parts = []
+        for block in blocks:
+            part: list[int] = []
+            for j, c in enumerate(block):
+                part.extend(range(taken[j], taken[j] + c))
+                taken[j] += c
+            parts.append(index.setdefault(tuple(part), len(index)))
+        by_size.setdefault(len(blocks), []).append((tuple(parts), mult))
+    return tuple(index), tuple((k, tuple(terms)) for k, terms in sorted(by_size.items()))
+
+
+@lru_cache(maxsize=None)
+def _all_root(ring, r: int, screens: tuple[Vector, ...]):
+    """Sum over shared line partitions for a fixed pooled screen multiset.
+
+    Lines with equal columns are interchangeable, so the sum runs over the
+    partitions of the column-type counts, on representative lines.
+    """
+    columns = sorted(zip(*screens))
+    parts, levels = _line_partitions(tuple(len(list(run)) for _, run in groupby(columns)))
+    # a screen's q of reparametrizations divides the factor of the part that
+    # holds its first marked line: the screen puts a config(l >= 1, 0) there
+    heads = [0] * r
+    for row in zip(*columns):
+        heads[next(i for i, c in enumerate(row) if c)] += 1
+    # a part's factor does not depend on the rest of the partition
+    factors = []
+    for part in parts:
+        factor = _part_factor(ring, [columns[i] for i in part])
+        screens_here = sum(heads[i] for i in part)
+        factors.append(ring.divide(factor, screens_here) if screens_here else factor)
+    total = ring.constant(0)
+    for k, terms in levels:
+        level = ring.constant(0)
+        for indices, mult in terms:
+            term = ring.constant(mult)
+            for i in indices:
+                term = term * factors[i]
+            level = level + term
+        total = total + ring.qconfig(k) * level
     return total
 
 
@@ -450,8 +514,14 @@ def _fiber_sum(ring, r: int, factors: tuple[Vector, ...]):
     """The fiber product of nonempty factors over r >= 2 lines, summed over
     the pooled screen multisets the factors present to the root."""
     pooled = _pool([_screen_distribution(ring, f) for f in factors])
+    # relabelling the lines leaves _all_root unchanged: sort the columns,
+    # then the screens, so that relabelled multisets share a cache entry
+    weights: dict = {}
+    for screens, weight in pooled.items():
+        key = tuple(sorted(zip(*sorted(zip(*screens)))))
+        weights[key] = weights[key] + weight if key in weights else weight
     total = ring.constant(0)
-    for screens, weight in sorted(pooled.items(), key=lambda kv: kv[0]):
+    for screens, weight in weights.items():
         total = total + weight * _all_root(ring, r, screens)
     return total
 

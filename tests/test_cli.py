@@ -93,7 +93,7 @@ def test_vpp_table_pretty(capsys):
 def test_size_guards(capsys):
     assert run(["vpp", "4,4,4"]) == 1
     _, err = out_of(capsys)
-    assert "exceeds the size bound 8" in err
+    assert "exceeds the size bound 9" in err
     assert run(["enumerate", "9,9"]) == 1
     _, err = out_of(capsys)
     assert "exceeds the size bound 12" in err

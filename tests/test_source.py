@@ -84,3 +84,50 @@ def test_private_names_are_used():
         for path in paths
     )
     assert not unused, unused
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names a module's import statements bind, with their lines,
+    leaving out explicit re-exports (``from m import x as x``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [
+                (a.asname or a.name, node.lineno) for a in node.names if a.asname != a.name
+            ]
+    return found
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    return {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in ast.walk(node.value)
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    }
+
+
+def test_imports_are_used():
+    # an import left behind when its last use goes is dead code: every name
+    # a module imports is loaded in that module or exported by its __all__
+    unused = []
+    checked = 0
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        } | _exported_names(tree)
+        for name, line in _imported_names(tree):
+            checked += 1
+            if name not in loaded:
+                unused.append(f"{path.name}:{line}:{name}")
+    assert checked > 20, checked
+    assert not unused, unused

@@ -7,13 +7,16 @@ the recursion was implemented; they are the oracle for everything else.
 import hashlib
 import importlib
 import random
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linestrata._combi import vector_partitions
+from linestrata._combi import set_partitions, vector_partitions
 from linestrata.cli import run
 from linestrata.exact_poly import UniPoly, config_poly, quotient_config_poly
 from linestrata.tree_pairs import enumerate_tree_pairs, f_vector
@@ -203,6 +206,10 @@ TABLE_DIGESTS = {
     5: "c46401ade9f54a031deda017923f6f4fa794eea3478738d0b3afe653e5136895",
     6: "dfd50cd9c3869aff9f3c0d7f7f304253b94a1fe168419a6d9502a4a0e5bc0f71",
     7: "cf9d23e8d9f95e82427f48c51a07c670a2004eadb1b20ab7c8c554d382e204e9",
+    8: "ec8fae996aa5750897e501d2391be97e7581470a5021d671933dc79b8da4a609",
+    # within the default guard since line partitions are summed by column
+    # type; the labelled sum took 15 to 24 s
+    9: "3ae8d3079f2085f38ff014756c791be9d040e6cfb5c99da797179644e7d779e5",
 }
 
 
@@ -247,6 +254,109 @@ def test_basis_shortcut_matches_full_recursion():
                     assert full == vpp_module._seam(ring, r), (ring, r, factors)
 
 
+def _labelled_part_factor(ring, part, screens):
+    """The factor of one part of labelled lines (numbered from 1)."""
+    if len(part) > 1:
+        subs = tuple(sorted(tuple(s[line - 1] for line in part) for s in screens))
+        return vpp_module._fat_part(ring, len(part), subs)
+    out = ring.constant(1)
+    for s in screens:
+        out = out * vpp_module._point_factor(ring, s[part[0] - 1])
+    return out
+
+
+def _labelled_all_root(ring, r, screens):
+    """The sum over labelled set partitions of the lines, every term divided
+    by q once per screen: the oracle for _all_root, which sums over column
+    types and divides each part's factor."""
+    factors = {}
+    total = ring.constant(0)
+    for parts in set_partitions(list(range(1, r + 1))):
+        if len(parts) < 2:
+            continue
+        keys = [tuple(part) for part in parts]
+        for key in keys:
+            if key not in factors:
+                factors[key] = _labelled_part_factor(ring, key, screens)
+        prod = reduce(mul, (factors[key] for key in keys))
+        total = total + ring.qconfig(len(parts)) * ring.divide(prod, len(screens))
+    return total
+
+
+def _weight(w):
+    """A bounded weight as its bound and value, since Bounded has no
+    equality."""
+    return (w.bound, w.value) if isinstance(w, vpp_module.Bounded) else w
+
+
+@st.composite
+def screen_multisets(draw):
+    """r lines and a sorted multiset of 1 to 4 screens, each with 0 to 2
+    marks on every line and at least one in all, and a permutation of the
+    lines.  At most 6 marks in all: the cost grows steeply with the marks,
+    and three screens of 5 or 6 marks each take seconds in every ring."""
+    r = draw(st.integers(2, 5))
+    screen = st.tuples(*[st.integers(0, 2)] * r).filter(any)
+    screens = draw(
+        st.lists(screen, min_size=1, max_size=4).filter(lambda ss: sum(map(sum, ss)) <= 6)
+    )
+    return r, tuple(sorted(screens)), draw(st.permutations(range(r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(screen_multisets())
+def test_all_root_matches_labelled_sum(case):
+    r, screens, order = case
+    relabelled = tuple(sorted(tuple(s[line] for line in order) for s in screens))
+    for ring in RINGS + [vpp_module._bounded_ring(64, 1), vpp_module._bounded_ring(64, 0)]:
+        typed = _weight(vpp_module._all_root(ring, r, screens))
+        assert typed == _weight(_labelled_all_root(ring, r, screens)), (ring, screens)
+        assert _weight(vpp_module._all_root(ring, r, relabelled)) == typed, (ring, order)
+
+
+def _compositions(total):
+    """Tuples of positive ints with the given sum."""
+    if total == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(1, total + 1)
+        for rest in _compositions(total - first)
+    ]
+
+
+def test_line_partitions_cover_the_set_partitions():
+    # every partition of the lines into at least two parts is counted once:
+    # the multiplicities add up to Bell(r) - 1, leaving out the single part
+    for r in range(1, 7):
+        bell = sum(1 for _ in set_partitions(range(r)))
+        for counts in _compositions(r):
+            parts, levels = vpp_module._line_partitions(counts)
+            total = 0
+            for k, terms in levels:
+                assert k >= 2
+                for indices, mult in terms:
+                    assert len(indices) == k
+                    lines = sorted(line for i in indices for line in parts[i])
+                    assert lines == list(range(r)), (counts, indices)
+                    total += mult
+            assert total == bell - 1, counts
+        # with every column distinct, the representatives are the labelled
+        # set partitions themselves
+        parts, levels = vpp_module._line_partitions((1,) * r)
+        typed = sorted(
+            (sorted(parts[i] for i in indices), mult)
+            for _, terms in levels
+            for indices, mult in terms
+        )
+        labelled = sorted(
+            (sorted(map(tuple, blocks)), 1)
+            for blocks in set_partitions(range(r))
+            if len(blocks) >= 2
+        )
+        assert typed == labelled, r
+
+
 @cache
 def _hierarchy_distribution(ring, v):
     """The screen distribution summed hierarchy by hierarchy: the single
@@ -266,12 +376,8 @@ def _hierarchy_distribution(ring, v):
 
 
 def _comparable(distribution):
-    """The keys in order with their weights, a bounded weight as its bound
-    and value, since Bounded has no equality."""
-    return [
-        (key, (w.bound, w.value) if isinstance(w, vpp_module.Bounded) else w)
-        for key, w in distribution
-    ]
+    """The keys in order with their weights."""
+    return [(key, _weight(w)) for key, w in distribution]
 
 
 @pytest.mark.parametrize(
