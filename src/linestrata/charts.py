@@ -10,7 +10,7 @@ are polynomials in the b-variables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -21,6 +21,8 @@ from .tree_pairs import Component, Mark, TreePair
 
 
 def _fraction(value: object) -> Fraction:
+    if isinstance(value, Fraction):
+        return value  # immutable, so no copy is needed
     try:
         return Fraction(value)
     except (TypeError, OverflowError):
@@ -85,10 +87,18 @@ def default_slices(tree: StableTree) -> dict[Bracket, tuple[Bracket, Bracket]]:
 @dataclass
 class StableCurve:
     """A stable tree together with one screen of positions per interior
-    vertex, aligned with the child order of that vertex."""
+    vertex, aligned with the child order of that vertex.
+
+    The trees :func:`evaluate_chart` glues the curve's tree to are kept
+    with the curve, keyed by the set of contracted vertices, so that each
+    is built once.
+    """
 
     tree: StableTree
     positions: dict[Bracket, tuple[Fraction, ...]]
+    _glued: dict[frozenset[Bracket], StableTree] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         cleaned: dict[Bracket, tuple[Fraction, ...]] = {}
@@ -276,11 +286,16 @@ def evaluate_chart(
     # seen[rho]: every vertex strictly below rho at its position on rho's
     # screen, as an unreduced pair (numerator, positive denominator).  Seen
     # from rho, a vertex sigma below the child c at position p sits at
-    # p + b[c] * x, where x is sigma's position on c's screen.
+    # p + b[c] * x, where x is sigma's position on c's screen.  Two leaves
+    # meet at rho exactly when they lie under different children of rho,
+    # so each pair is compared once, on its deepest common screen.
+    leaf = [None, *(frozenset({i}) for i in range(1, tree.r + 1))]
     seen: dict[Bracket, dict[Bracket, tuple[int, int]]] = {}
+    vanishing = []
     for rho in reversed(interior):
         here = {}
-        for child, position in zip(tree.children(rho), curve.positions[rho]):
+        children = tree.children(rho)
+        for child, position in zip(children, curve.positions[rho]):
             pn, pd = position.numerator, position.denominator
             here[child] = (pn, pd)
             below = seen.get(child)
@@ -289,19 +304,25 @@ def evaluate_chart(
                 for sigma, (xn, xd) in below.items():
                     here[sigma] = (pn * bd * xd + pd * bn * xn, pd * bd * xd)
         seen[rho] = here
+        for first, second in combinations(children, 2):
+            for i in first:
+                un, ud = here[leaf[i]]
+                for j in second:
+                    vn, vd = here[leaf[j]]
+                    if un * vd == vn * ud:
+                        vanishing.append((min(i, j), max(i, j)))
+    if vanishing:
+        i, j = min(vanishing)
+        raise ValueError(
+            f"outside the chart domain: the separating factor for "
+            f"leaves {i} and {j} vanishes"
+        )
 
-    leaves = [frozenset({i}) for i in range(1, tree.r + 1)]
-    for (i, u), (j, v) in combinations(enumerate(leaves, 1), 2):
-        here = seen[_meet(tree, u, v)]
-        (un, ud), (vn, vd) = here[u], here[v]
-        if un * vd == vn * ud:
-            raise ValueError(
-                f"outside the chart domain: the separating factor for "
-                f"leaves {i} and {j} vanishes"
-            )
-
-    pattern = {v: (0 if x == 0 else 1) for v, x in values.items()}
-    new_tree = glue_tree(tree, pattern)
+    contracted = frozenset(v for v, x in values.items() if x != 0)
+    new_tree = curve._glued.get(contracted)
+    if new_tree is None:
+        pattern = {v: int(v in contracted) for v in values}
+        new_tree = curve._glued[contracted] = glue_tree(tree, pattern)
     positions = {
         rho: tuple(Fraction(*seen[rho][child]) for child in new_tree.children(rho))
         for rho in new_tree.interior_vertices()
@@ -309,15 +330,32 @@ def evaluate_chart(
     return StableCurve(new_tree, positions)
 
 
+def _pair(value: object) -> tuple[int, int]:
+    """A rational number as (numerator, positive denominator)."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _normalized_pairs(
+    pairs: Sequence[tuple[int, int]], pins: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """:func:`normalize_to_slice` on (numerator, nonzero denominator)
+    pairs, giving unreduced pairs of the same kind."""
+    n0, d0 = pairs[pins[0]]
+    n1, d1 = pairs[pins[1]]
+    # (v - v0) / (v1 - v0), with v1 - v0 = span_n / (d0 * d1)
+    span_n = n1 * d0 - n0 * d1
+    if span_n == 0:
+        raise ValueError("pinned positions coincide; no affine normalization")
+    return [((n * d0 - n0 * d) * d1, d * span_n) for n, d in pairs]
+
+
 def normalize_to_slice(values: Sequence, pins: tuple[int, int]) -> tuple[Fraction, ...]:
     """Affine change of frame sending values[pins[0]] to 0 and
     values[pins[1]] to 1."""
-    values = [Fraction(v) for v in values]
-    v0 = values[pins[0]]
-    v1 = values[pins[1]]
-    if v0 == v1:
-        raise ValueError("pinned positions coincide; no affine normalization")
-    return tuple((v - v0) / (v1 - v0) for v in values)
+    pairs = [_pair(v) for v in values]
+    return tuple(Fraction(n, d) for n, d in _normalized_pairs(pairs, pins))
 
 
 def _anchor_leaf(
@@ -352,32 +390,34 @@ def invert_chart(
                 "chart inversion needs a 0-dimensional (binary) tree; "
                 f"vertex {sorted(rho)} has {tree.in_degree(rho)} children"
             )
-    y = [Fraction(v) for v in leaf_positions]
+    y = [_pair(v) for v in leaf_positions]
     if len(y) != tree.r:
         raise ValueError("one position per leaf is required")
 
-    def anchor_value(vertex: Bracket) -> Fraction:
+    def anchor_value(vertex: Bracket) -> tuple[int, int]:
         return normalized[_anchor_leaf(tree, slices, vertex) - 1]
 
     root = tree.root
     pin0 = _anchor_leaf(tree, slices, slices[root][0]) - 1
     pin1 = _anchor_leaf(tree, slices, slices[root][1]) - 1
-    normalized = list(normalize_to_slice(y, (pin0, pin1)))
+    normalized = _normalized_pairs(y, (pin0, pin1))
 
-    scale: dict[Bracket, Fraction] = {root: Fraction(1)}
+    # scales as unreduced pairs (numerator, nonzero denominator)
+    scale: dict[Bracket, tuple[int, int]] = {root: (1, 1)}
     out: dict[Bracket, Fraction] = {}
     for rho in interior:
         if rho == root:
             continue
         s0, s1 = slices[rho]
-        scale[rho] = anchor_value(s1) - anchor_value(s0)
-        parent_scale = scale[tree.parent(rho)]
-        if parent_scale == 0:
+        (an, ad), (bn, bd) = anchor_value(s1), anchor_value(s0)
+        scale[rho] = sn, sd = an * bd - bn * ad, ad * bd
+        pn, pd = scale[tree.parent(rho)]
+        if pn == 0:
             raise ValueError(
                 f"outside the invertible locus: the screen above {sorted(rho)} "
                 "is collapsed"
             )
-        out[rho] = scale[rho] / parent_scale
+        out[rho] = Fraction(sn * pd, sd * pn)
     return out
 
 

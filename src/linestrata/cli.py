@@ -22,7 +22,6 @@ from .charts import (
     vertex_label,
 )
 from .local_models import (
-    _incidence,
     canonical_generators,
     coherence_generators,
     lattice_is_saturated,
@@ -34,6 +33,7 @@ from .trees import StableTree
 from .vpp import stratum_counts, vpp, vpp_table
 
 ENUM_GUARD = 12
+COUNT_GUARD = 14
 VPP_GUARD = 9
 STRATA_GUARD = 20_000
 
@@ -133,14 +133,14 @@ def _exceeds_guard(label: str, size: int, max_size: int | None, guard: int) -> b
     return True
 
 
-def _refuses_enumeration(n: tuple[int, ...], max_size: int | None) -> bool:
+def _refuses_type(n: tuple[int, ...], max_size: int | None, guard: int) -> bool:
     """Report and return True when the strata of type n cannot be
-    enumerated or counted: the type carries no mark, or it exceeds the size
-    guard."""
+    enumerated or counted: the type carries no mark, or |n| + r exceeds the
+    size guard (ENUM_GUARD to enumerate, COUNT_GUARD to count)."""
     if not any(n):
         _fail("the mark vector must carry at least one mark")
         return True
-    return _exceeds_guard("|n| + r =", sum(n) + len(n), max_size, ENUM_GUARD)
+    return _exceeds_guard("|n| + r =", sum(n) + len(n), max_size, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def _refuses_enumeration(n: tuple[int, ...], max_size: int | None) -> bool:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if _refuses_enumeration(n, args.max_size):
+    if _refuses_type(n, args.max_size, COUNT_GUARD):
         return 1
     counts = stratum_counts(n)
     by_dim = [(d, c) for d, c in enumerate(counts) if c]
@@ -170,7 +170,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_fvector(args: argparse.Namespace) -> int:
     n = args.n
-    if _refuses_enumeration(n, args.max_size):
+    if _refuses_type(n, args.max_size, COUNT_GUARD):
         return 1
     counts = stratum_counts(n)
     if args.format == "json":
@@ -224,7 +224,7 @@ def _check_one_model(
     model = canonical_generators(tp)
     shape = (model.n_coords, len(model.generators))
     try:
-        _incidence(model)
+        model.incidence  # kept on the model for the witnesses below
     except ValueError as exc:
         return index, f"incidence pattern violated: {exc}", *shape
     if not lattice_span_equal(model, coherence_generators(tp)):
@@ -258,16 +258,22 @@ def _worker_count(jobs: int, cpus: int, models: int) -> int:
 
 def _cmd_check_local_model(args: argparse.Namespace) -> int:
     n = args.n
-    if _refuses_enumeration(n, args.max_size):
+    if _refuses_type(n, args.max_size, ENUM_GUARD):
         return 1
-    if args.max_size is None:
-        strata = sum(stratum_counts(n))
-        if strata > STRATA_GUARD:
-            return _fail(
-                f"{strata} strata exceed the bound {STRATA_GUARD} of "
-                "check-local-model; pass --max-size to enumerate them anyway"
-            )
-    models = [tp for tp in enumerate_tree_pairs(n) if tp.dimension == 0]
+    counts = stratum_counts(n)
+    if args.max_size is None and sum(counts) > STRATA_GUARD:
+        return _fail(
+            f"{sum(counts)} strata exceed the bound {STRATA_GUARD} of "
+            "check-local-model; pass --max-size to enumerate them anyway"
+        )
+    models = enumerate_tree_pairs(n, dimension=0)
+    # the count recursion is independent of the enumeration: a stratum the
+    # enumeration misses would otherwise go unchecked
+    if len(models) != counts[0]:
+        return _fail(
+            f"the enumeration gives {len(models)} 0-dimensional strata, "
+            f"but the stratum count is {counts[0]}"
+        )
     if not models:
         print("no 0-dimensional strata")
         return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -49,7 +50,8 @@ class LatticeModel:
 
     seam_columns marks which coordinates belong to seam brackets; rows with
     a +1 there are seam-contraction relations, which matters for the
-    incidence analysis.
+    incidence analysis.  The incidence pattern and the diagonal form depend
+    on the model alone, so each is computed on first use and kept.
     """
 
     names: tuple[str, ...]
@@ -69,6 +71,16 @@ class LatticeModel:
     @property
     def n_coords(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def incidence(self):
+        """:func:`_incidence` of the model; raises on a bad pattern."""
+        return _incidence(self)
+
+    @cached_property
+    def diagonal(self) -> tuple[int, ...]:
+        """:func:`_diagonal` of the generators."""
+        return tuple(_diagonal(_generator_rows(self)))
 
     def to_json(self) -> dict:
         return {
@@ -344,6 +356,14 @@ def _diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     return diagonal
 
 
+def _diagonal_of(obj, rows: Sequence[Sequence[int]] | None = None) -> Sequence[int]:
+    """:func:`_diagonal` of a generator family, whose rows may be given
+    when already read; a model keeps its own."""
+    if isinstance(obj, LatticeModel):
+        return obj.diagonal
+    return _diagonal(_generator_rows(obj) if rows is None else rows)
+
+
 def lattice_span_equal(first, second) -> bool:
     """Whether two generator families span the same sublattice of Z^n.
 
@@ -359,14 +379,14 @@ def lattice_span_equal(first, second) -> bool:
     union = _diagonal(rows_a + rows_b)
     return all(
         len(d) == len(union) and math.prod(d) == math.prod(union)
-        for d in (_diagonal(rows_a), _diagonal(rows_b))
+        for d in (_diagonal_of(first, rows_a), _diagonal_of(second, rows_b))
     )
 
 
 def lattice_is_saturated(model_or_generators) -> bool:
     """Whether the generated sublattice is saturated in Z^n (the quotient is
     torsion-free): every nonzero diagonal entry must be 1."""
-    return all(d == 1 for d in _diagonal(_generator_rows(model_or_generators)))
+    return all(d == 1 for d in _diagonal_of(model_or_generators))
 
 
 def _monomial_string(factors: list[tuple[str, int]]) -> str:
@@ -656,7 +676,7 @@ def build_witness_system(model: LatticeModel, x: Sequence[int]):
     x = tuple(int(v) for v in x)
     if len(x) != model.n_coords:
         raise ValueError("x must have one entry per coordinate")
-    signs, hits = _incidence(model)
+    signs, hits = model.incidence
     m = len(model.generators)
     lower: list[int | float] = [NEG_INF] * m
     upper: list[int | float] = [POS_INF] * m

@@ -487,8 +487,14 @@ def _enum_fiber(
     return tuple(results)
 
 
-def enumerate_tree_pairs(n: Sequence[int]) -> list[TreePair]:
-    """All strata of the space with n_i marks on line i, dimension-sorted."""
+def enumerate_tree_pairs(
+    n: Sequence[int], dimension: int | None = None
+) -> list[TreePair]:
+    """All strata of the space with n_i marks on line i, dimension-sorted.
+
+    With a dimension, only the strata of that dimension, in the same order;
+    the others are dropped before they are keyed, sorted or validated.
+    """
     nt = tuple(int(c) for c in n)
     r = len(nt)
     if r < 1 or any(c < 0 for c in nt):
@@ -498,9 +504,12 @@ def enumerate_tree_pairs(n: Sequence[int]) -> list[TreePair]:
     lines = tuple(range(1, r + 1))
     marks = tuple(Mark(i, j) for i in lines for j in range(1, nt[i - 1] + 1))
     keyed = []
-    for brackets, roots in _enum_fiber(lines, (marks,)):
+    # uncached at the top: the cache keeps sub-fibers only, so the strata
+    # die with the caller's list
+    for brackets, roots in _enum_fiber.__wrapped__(lines, (marks,)):
         tp = TreePair(nt, StableTree(r, brackets), roots[0])
-        keyed.append((tp.sort_key(), tp))
+        if dimension is None or tp.dimension == dimension:
+            keyed.append((tp.sort_key(), tp))
     keyed.sort(key=itemgetter(0))
     out: list[TreePair] = []
     previous = None

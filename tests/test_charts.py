@@ -439,3 +439,144 @@ def test_gluing_polynomial_2d_specializes():
     assert multi_eval(py, {"a[1]": 1}) == -1
     assert multi_eval(px, {"a[1]": 0}) == 2
     assert multi_eval(py, {"a[1]": 0}) == 0
+
+
+def _benchmark_transition_spec():
+    import json
+    from pathlib import Path
+
+    from linestrata.cli import _parse_slices
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "transition_8.json"
+    spec = json.loads(path.read_text())
+    return (
+        StableTree.from_json(spec["tree1"]),
+        _parse_slices(spec["slices1"]),
+        StableTree.from_json(spec["tree2"]),
+        _parse_slices(spec["slices2"]),
+    )
+
+
+def test_transition_check_work_per_tree_does_not_grow_with_samples(monkeypatch):
+    # the leaf-pair meets and the glued trees depend on the trees alone
+    from linestrata import charts
+
+    spec = _benchmark_transition_spec()
+    calls = {"_meet": 0, "glue_tree": 0}
+
+    def counted(name):
+        original = getattr(charts, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(charts, name, counted(name))
+    seen = []
+    for samples in (50, 200):
+        for name in calls:
+            calls[name] = 0
+        report = transition_check(*spec, samples=samples, seed=0)
+        assert report.verified > 0
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    # one all-ones pattern per chart
+    assert seen[0] == {"_meet": 0, "glue_tree": 2}
+
+
+def test_evaluate_chart_glues_each_pattern_of_a_curve_once(monkeypatch):
+    from linestrata import charts
+
+    tree = StableTree(5, [fz({2, 3, 4}), fz({3, 4})])
+    curve = StableCurve(
+        tree,
+        {fz({1, 2, 3, 4, 5}): (0, 1, 10), fz({2, 3, 4}): (0, 1), fz({3, 4}): (0, 1)},
+    )
+    glued = []
+    original = charts.glue_tree
+
+    def counting(t, assignment):
+        glued.append(dict(assignment))
+        return original(t, assignment)
+
+    monkeypatch.setattr(charts, "glue_tree", counting)
+    for _ in range(2):
+        for x, y in [(1, 1), (0, 1), (1, 0), (0, 0), (F(1, 2), 3)]:
+            b = {fz({2, 3, 4}): x, fz({3, 4}): y}
+            result = evaluate_chart(curve, b)
+            assert result.tree == original(tree, {v: int(c != 0) for v, c in b.items()})
+    assert len(glued) == 4  # one per 0/1 pattern
+
+
+def test_normalize_to_slice_matches_fraction_arithmetic():
+    rng = random.Random(5)
+    for _ in range(300):
+        values = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)]
+        if values[1] == values[3]:
+            with pytest.raises(ValueError, match="pinned positions coincide"):
+                normalize_to_slice(values, (1, 3))
+            continue
+        v0, v1 = values[1], values[3]
+        expected = tuple((v - v0) / (v1 - v0) for v in values)
+        out = normalize_to_slice(values, (1, 3))
+        assert out == expected
+        assert all(type(v) is F for v in out)
+        # integers and strings are read as the same rationals
+        assert normalize_to_slice([str(v) for v in values], (1, 3)) == expected
+
+
+def _invert_with_fractions(tree, slices, y):
+    """invert_chart written with Fraction arithmetic throughout."""
+
+    def anchor(vertex):
+        while len(vertex) > 1:
+            vertex = slices[vertex][0]
+        return next(iter(vertex)) - 1
+
+    root = tree.root
+    v0, v1 = F(y[anchor(slices[root][0])]), F(y[anchor(slices[root][1])])
+    normalized = [(F(v) - v0) / (v1 - v0) for v in y]
+    scale = {root: F(1)}
+    out = {}
+    for rho in tree.interior_vertices():
+        if rho == root:
+            continue
+        s0, s1 = slices[rho]
+        scale[rho] = normalized[anchor(s1)] - normalized[anchor(s0)]
+        if scale[tree.parent(rho)] == 0:
+            return None
+        out[rho] = scale[rho] / scale[tree.parent(rho)]
+    return out
+
+
+def test_invert_chart_matches_fraction_arithmetic():
+    rng = random.Random(7)
+    collapsed = 0
+    for tree in enumerate_stable_trees(5):
+        if any(tree.in_degree(v) != 2 for v in tree.interior_vertices()):
+            continue
+        slices = {
+            rho: tuple(rng.sample(tree.children(rho), 2))
+            for rho in tree.interior_vertices()
+        }
+        for _ in range(10):
+            # few values, so that screens often collapse
+            y = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(5)]
+            try:
+                expected = _invert_with_fractions(tree, slices, y)
+            except ZeroDivisionError:
+                with pytest.raises(ValueError, match="pinned positions coincide"):
+                    invert_chart(tree, slices, y)
+                continue
+            if expected is None:
+                collapsed += 1
+                with pytest.raises(ValueError, match="outside the invertible locus"):
+                    invert_chart(tree, slices, y)
+                continue
+            out = invert_chart(tree, slices, y)
+            assert out == expected
+            assert all(type(v) is F for v in out.values())
+    assert collapsed > 0

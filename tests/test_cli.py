@@ -96,6 +96,9 @@ def test_size_guards(capsys):
     assert "exceeds the size bound 9" in err
     assert run(["enumerate", "9,9"]) == 1
     _, err = out_of(capsys)
+    assert "exceeds the size bound 14" in err
+    assert run(["check-local-model", "9,9"]) == 1
+    _, err = out_of(capsys)
     assert "exceeds the size bound 12" in err
     # the guard is an override, not a hard limit
     assert run(["enumerate", "3,0", "--max-size", "4"]) == 1
@@ -150,14 +153,14 @@ def test_check_local_model_enumerates_once(monkeypatch, capsys):
     calls = []
     enumerate_tree_pairs = linestrata.cli.enumerate_tree_pairs
 
-    def counting(n):
-        calls.append(n)
-        return enumerate_tree_pairs(n)
+    def counting(n, **kwargs):
+        calls.append((n, kwargs))
+        return enumerate_tree_pairs(n, **kwargs)
 
     monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", counting)
     assert run(["check-local-model", "2,1", "--trials", "3"]) == 0
     assert out_of(capsys)[0].endswith("checked 4 models: all ok\n")
-    assert calls == [(2, 1)]
+    assert calls == [((2, 1), {"dimension": 0})]
 
 
 @pytest.mark.parametrize("n, strata", [("1,1,1,1,1", 453_032), ("2,2,2,2", 374_415_744)])
@@ -444,3 +447,64 @@ def test_missing_spec_file(capsys):
     assert run(["chart-eval", "/no/such/file.json"]) == 1
     _, err = out_of(capsys)
     assert "cannot read" in err
+
+
+def test_check_local_model_cross_checks_the_stratum_count(monkeypatch, capsys):
+    enumerate_tree_pairs = linestrata.cli.enumerate_tree_pairs
+
+    def dropping(n, **kwargs):
+        return enumerate_tree_pairs(n, **kwargs)[1:]
+
+    monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", dropping)
+    assert run(["check-local-model", "2,1", "--trials", "3"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == (
+        "error: the enumeration gives 3 0-dimensional strata, "
+        "but the stratum count is 4\n"
+    )
+
+
+def test_check_local_model_computes_each_fact_once_per_model(monkeypatch, capsys):
+    from linestrata import local_models
+
+    calls = {"_incidence": 0, "_diagonal": 0}
+
+    def counted(name):
+        original = getattr(local_models, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(local_models, name, counted(name))
+    assert run(["check-local-model", "2,1", "--trials", "3"]) == 0
+    assert out_of(capsys)[0].endswith("checked 4 models: all ok\n")
+    # per model: its canonical generators, the coherence generators and
+    # their union are diagonalised once each
+    assert calls == {"_incidence": 4, "_diagonal": 12}
+
+
+def test_counting_has_its_own_guard(capsys):
+    # counting accepts |n| + r = 14 on a cheap type, and refuses 15
+    for command in ("fvector", "enumerate"):
+        assert run([command, "13"]) == 0, command
+        assert out_of(capsys)[1] == ""
+        assert run([command, "14"]) == 1, command
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == (
+            "error: |n| + r = 15 exceeds the size bound 14; "
+            "raise --max-size to proceed\n"
+        )
+    # enumerating keeps its own guard: 13 is refused
+    assert run(["check-local-model", "12"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == (
+        "error: |n| + r = 13 exceeds the size bound 12; "
+        "raise --max-size to proceed\n"
+    )

@@ -101,8 +101,8 @@ def test_duplicate_stratum_check_fires(optimize):
         "import sys\n"
         "from linestrata import tree_pairs\n"
         f"if sys.flags.optimize != {optimize}: sys.exit('wrong optimize level')\n"
-        "enum_fiber = tree_pairs._enum_fiber\n"
-        "tree_pairs._enum_fiber = lambda *args: enum_fiber(*args) * 2\n"
+        "enum_fiber = tree_pairs._enum_fiber.__wrapped__\n"
+        "tree_pairs._enum_fiber.__wrapped__ = lambda *args: enum_fiber(*args) * 2\n"
         "tree_pairs.enumerate_tree_pairs((2, 1))\n"
     )
     result = subprocess.run(
@@ -354,3 +354,47 @@ def test_component_structure_validation():
     bare["bubble_tree"]["seams"][0]["children"].append({"lines": [1], "seams": []})
     with pytest.raises(ValueError, match="screen with no seams"):
         TreePair.from_json(bare)
+
+
+def test_dimension_keyword_matches_the_filtered_enumeration():
+    # the keyword drops strata before they are keyed; the filtered full
+    # enumeration and the independent count recursion are its oracles
+    from test_acceptance import _compositions_up_to
+
+    from linestrata.vpp import stratum_counts
+
+    types = _compositions_up_to(6)
+    assert len(types) == 57  # 2^(s-1) - 1 types of each size s <= 6
+    for n in types:
+        everything = enumerate_tree_pairs(n)
+        counts = stratum_counts(n)
+        for d, count in enumerate(counts):
+            only = enumerate_tree_pairs(n, dimension=d)
+            assert only == [tp for tp in everything if tp.dimension == d], (n, d)
+            assert len(only) == count, (n, d)
+    assert enumerate_tree_pairs((2, 1), dimension=3) == []
+
+
+def test_enumeration_caches_only_sub_fibers():
+    import gc
+    import weakref
+
+    from linestrata.tree_pairs import _enum_fiber
+
+    n = (2, 1, 1)
+    strata = enumerate_tree_pairs(n)
+    # a stratum's root screen is built by the top-level call alone
+    roots = [weakref.ref(tp.root) for tp in strata]
+    del strata
+    gc.collect()
+    assert all(ref() is None for ref in roots)
+    # the full line set is the top-level key, and no entry has it: asking
+    # for it again is a miss (the sub-fibers are over proper parts)
+    lines = (1, 2, 3)
+    marks = tuple(Mark(i, j) for i in lines for j in range(1, n[i - 1] + 1))
+    before = _enum_fiber.cache_info()
+    assert before.currsize > 0
+    _enum_fiber(lines, (marks,))
+    after = _enum_fiber.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits > before.hits  # the sub-fibers are still there
