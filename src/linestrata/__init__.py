@@ -60,12 +60,10 @@ from .local_models import (
 from .charts import (
     INFINITY,
     StableCurve,
-    StablePlaneTree,
     default_slices,
     evaluate_chart,
     extract_q_factor,
     gluing_polynomial,
-    gluing_polynomial_2d,
     invert_chart,
     normalize_to_slice,
     pinned_curve,
@@ -123,8 +121,6 @@ __all__ = [
     "normalize_to_slice",
     "invert_chart",
     "transition_check",
-    "StablePlaneTree",
-    "gluing_polynomial_2d",
     "vpp",
     "vpp_seam",
     "vpp_table",

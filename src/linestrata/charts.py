@@ -1,10 +1,11 @@
-"""Gluing polynomials, chart evaluation, inversion, and transition checks.
+"""Chart evaluation, inversion, transition checks, and gluing polynomials.
 
 A chart takes a boundary stratum (a stable tree with slice-pinned screen
 positions) plus one gluing coordinate per non-root interior vertex, and
 produces the glued configuration.  Everything here is exact rational
-arithmetic; gluing coordinates may be left symbolic, in which case results
-are polynomials in the b-variables.
+arithmetic.  The commands run the numeric chart maps; the gluing
+polynomials leave the coordinates symbolic, as polynomials in the
+b-variables, and are the oracle the numeric maps are tested against.
 """
 
 from __future__ import annotations
@@ -17,16 +18,17 @@ from typing import Mapping, Sequence
 
 from .exact_poly import MultiPoly
 from .trees import Bracket, StableTree, glue_tree
-from .tree_pairs import Component, Mark, TreePair
 
 
 def _fraction(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value  # immutable, so no copy is needed
-    try:
-        return Fraction(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"expected a number or a fraction string, got {value!r}")
+    if not isinstance(value, bool):  # JSON true and false are not numbers
+        try:
+            return Fraction(value)
+        except (TypeError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected a number or a fraction string, got {value!r}")
 
 
 class AtInfinity:
@@ -52,6 +54,27 @@ INFINITY = AtInfinity()
 
 def vertex_label(vertex: Bracket) -> str:
     return "-".join(str(i) for i in sorted(vertex))
+
+
+def parse_vertex_label(label: object) -> Bracket:
+    """The vertex named by a :func:`vertex_label` string such as "1-3-4"."""
+    try:
+        return frozenset(int(p) for p in label.split("-"))
+    except (AttributeError, ValueError):  # not a string, or not of that form
+        raise ValueError(f'expected a vertex label such as "1-3-4", got {label!r}')
+
+
+def json_object(data: object, what: str) -> Mapping:
+    """data, checked to be a JSON object; `what` names it in the error."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def json_entry(data: Mapping, key: str, what: str) -> object:
+    if key not in data:
+        raise ValueError(f'{what} has no "{key}" entry')
+    return data[key]
 
 
 def _b_variable(vertex: Bracket) -> str:
@@ -147,23 +170,39 @@ class StableCurve:
     @classmethod
     def from_json(cls, data: object) -> "StableCurve":
         """Parse :meth:`to_json` output; a malformed shape is a ValueError."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"curve must be a JSON object, got {type(data).__name__}")
-        for key in ("tree", "positions"):
-            if key not in data:
-                raise ValueError(f'curve has no "{key}" entry')
-        tree = StableTree.from_json(data["tree"])
-        entries = data["positions"]
-        if not isinstance(entries, Mapping):
-            raise ValueError(
-                f"positions must be a JSON object, got {type(entries).__name__}"
-            )
+        data = json_object(data, "curve")
+        nested = json_entry(data, "tree", "curve")
+        entries = json_entry(data, "positions", "curve")
+        tree = StableTree.from_json(nested)
         positions = {}
-        for label, values in entries.items():
+        for label, values in json_object(entries, "positions").items():
             if not isinstance(values, list):
                 raise ValueError(f"positions of {label} must be a list, got {values!r}")
-            positions[frozenset(int(p) for p in label.split("-"))] = values
+            positions[parse_vertex_label(label)] = values
         return cls(tree, positions)
+
+
+def validate_slices(
+    tree: StableTree, slices: Mapping
+) -> dict[Bracket, tuple[Bracket, Bracket]]:
+    """The slices as vertices of the tree, each checked to pin two distinct
+    children of an interior vertex.  A vertex not in the tree is a KeyError."""
+    out = {}
+    for rho, (s0, s1) in slices.items():
+        rho, s0, s1 = (_as_vertex(tree, v) for v in (rho, s0, s1))
+        children = tree.children(rho)
+        if not children:
+            raise ValueError(f"slice of vertex {sorted(rho)}: a leaf has no slice")
+        for pin in (s0, s1):
+            if pin not in children:
+                raise ValueError(
+                    f"slice of vertex {sorted(rho)} pins {sorted(pin)}, "
+                    "which is not one of its children"
+                )
+        if s0 == s1:
+            raise ValueError(f"slice of vertex {sorted(rho)} pins {sorted(s0)} twice")
+        out[rho] = (s0, s1)
+    return out
 
 
 def pinned_curve(
@@ -171,6 +210,7 @@ def pinned_curve(
 ) -> StableCurve:
     """The fully-pinned curve of a 0-dimensional (binary) tree: every screen
     holds exactly the two slice children, at 0 and 1."""
+    slices = validate_slices(tree, slices)
     positions = {}
     for rho in tree.interior_vertices():
         children = tree.children(rho)
@@ -182,14 +222,6 @@ def pinned_curve(
         if rho not in slices:
             raise ValueError(f"vertex {sorted(rho)} has no slice")
         s0, s1 = slices[rho]
-        for pin in (s0, s1):
-            if pin not in children:
-                raise ValueError(
-                    f"slice of vertex {sorted(rho)} pins {sorted(pin)}, "
-                    "which is not one of its children"
-                )
-        if s0 == s1:
-            raise ValueError(f"slice of vertex {sorted(rho)} pins {sorted(s0)} twice")
         values = [None, None]
         values[children.index(s0)] = Fraction(0)
         values[children.index(s1)] = Fraction(1)
@@ -198,11 +230,10 @@ def pinned_curve(
 
 
 def check_slices(curve: StableCurve, slices: Mapping[Bracket, tuple[Bracket, Bracket]]) -> None:
-    for rho, (s0, s1) in slices.items():
-        rho = frozenset(rho)
-        if curve.position_toward(rho, frozenset(s0)) != 0:
+    for rho, (s0, s1) in validate_slices(curve.tree, slices).items():
+        if curve.position_toward(rho, s0) != 0:
             raise ValueError(f"slice child {sorted(s0)} of {sorted(rho)} is not at 0")
-        if curve.position_toward(rho, frozenset(s1)) != 1:
+        if curve.position_toward(rho, s1) != 1:
             raise ValueError(f"slice child {sorted(s1)} of {sorted(rho)} is not at 1")
 
 
@@ -457,181 +488,25 @@ def transition_check(
 
     rng = random.Random(seed)
     verified = 0
-    skipped = 0
     for _ in range(samples):
         b1 = {
             v: Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for v in free1
         }
-        if any(x == 0 for x in b1.values()):
-            skipped += 1
+        # a zero coordinate is a boundary point, and a ValueError a point
+        # outside one of the domains: either way the sample is skipped
+        if 0 in b1.values():
             continue
         try:
             glued = evaluate_chart(curve1, b1)
-        except ValueError:
-            skipped += 1
-            continue
-        leaf_row = glued.positions[glued.tree.root]
-        if leaf_row[pin0] == leaf_row[pin1]:
-            skipped += 1
-            continue
-        target = normalize_to_slice(leaf_row, (pin0, pin1))
-        try:
+            leaf_row = glued.positions[glued.tree.root]
+            target = normalize_to_slice(leaf_row, (pin0, pin1))
             b2 = invert_chart(tree2, slices2, target)
-        except ValueError:
-            skipped += 1
-            continue
-        if any(x == 0 for x in b2.values()):
-            skipped += 1
-            continue
-        try:
+            if 0 in b2.values():
+                continue
             reglued = evaluate_chart(curve2, b2)
         except ValueError:
-            skipped += 1
             continue
         if tuple(reglued.positions[reglued.tree.root]) != tuple(target):
             raise AssertionError("transition round trip failed")
         verified += 1
-    return TransitionReport(samples=samples, verified=verified, skipped=skipped)
-
-
-# ---------------------------------------------------------------------------
-# plane trees: the two-dimensional gluing polynomials
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StablePlaneTree:
-    """A stratum plus coordinates: line positions per interior seam vertex
-    and a (x, y) point per child slot of every screen.
-
-    points[k] indexes screens by walk order; points[k][s][c] is the point
-    of child c on seam s.  Splitting screens inherit their line positions
-    from the seam vertex they lie over.
-    """
-
-    tree_pair: TreePair
-    seam_positions: dict[Bracket, tuple[Fraction, ...]]
-    points: dict[int, tuple[tuple[tuple[Fraction, Fraction], ...], ...]]
-
-    def __post_init__(self) -> None:
-        self.seam_positions = {
-            frozenset(k): tuple(Fraction(x) for x in v)
-            for k, v in self.seam_positions.items()
-        }
-        self.points = {
-            int(k): tuple(
-                tuple((Fraction(x), Fraction(y)) for x, y in seam_row)
-                for seam_row in rows
-            )
-            for k, rows in self.points.items()
-        }
-        self.validate()
-
-    def validate(self) -> None:
-        tree = self.tree_pair.seam_tree
-        interior = set(tree.interior_vertices())
-        if set(self.seam_positions) != interior:
-            raise ValueError("seam positions must cover the interior seam vertices")
-        for rho, xs in self.seam_positions.items():
-            if len(xs) != tree.in_degree(rho):
-                raise ValueError(f"seam vertex {sorted(rho)} needs {tree.in_degree(rho)} lines")
-            if len(set(xs)) != len(xs):
-                raise ValueError(f"seam vertex {sorted(rho)} has coincident lines")
-        comps = self.tree_pair.components()
-        if set(self.points) != set(range(len(comps))):
-            raise ValueError("points must cover the screens by walk index")
-        for index, comp in enumerate(comps):
-            rows = self.points[index]
-            if len(rows) != len(comp.seams):
-                raise ValueError(f"screen {index} needs {len(comp.seams)} seam rows")
-            line_positions = []
-            for seam, row in zip(comp.seams, rows):
-                if len(row) != len(seam.children):
-                    raise ValueError(
-                        f"screen {index} seam {sorted(seam.lines)} needs "
-                        f"{len(seam.children)} points"
-                    )
-                xs = {x for x, _ in row}
-                if len(xs) > 1:
-                    raise ValueError(
-                        f"screen {index} seam {sorted(seam.lines)} mixes line positions"
-                    )
-                if row:
-                    line_positions.append(row[0][0])
-                ys = [y for _, y in row]
-                if len(set(ys)) != len(ys):
-                    raise ValueError(
-                        f"screen {index} seam {sorted(seam.lines)} has coincident points"
-                    )
-            if comp.is_multi:
-                expected = self.seam_positions[comp.lines]
-                by_lines = {frozenset(s.lines): i for i, s in enumerate(comp.seams)}
-                order = tree.children(comp.lines)
-                for pos, child_vertex in zip(expected, order):
-                    seam_index = by_lines[child_vertex]
-                    row = self.points[index][seam_index]
-                    if row and row[0][0] != pos:
-                        raise ValueError(
-                            f"screen {index} does not inherit the line position "
-                            f"of seam vertex {sorted(comp.lines)}"
-                        )
-
-
-def _a_variable(index: int) -> str:
-    return f"a[{index}]"
-
-
-def gluing_polynomial_2d(
-    plane_tree: StablePlaneTree, alpha: int, beta
-) -> tuple[MultiPoly, MultiPoly]:
-    """Both coordinates of the position of beta as seen from screen alpha,
-    as polynomials in the melting variables of the screens in between.
-
-    beta is a screen index or a mark; it must lie strictly below alpha.
-    """
-    comps = plane_tree.tree_pair.components()
-    if not 0 <= alpha < len(comps):
-        raise ValueError("alpha is not a screen index")
-    index_of = {id(c): i for i, c in enumerate(comps)}
-
-    # parent chain on identity to find the downward path alpha -> beta
-    def locate(target) -> list[tuple[int, int, int]] | None:
-        """Path as (screen index, seam slot, child slot) steps from alpha."""
-
-        def search(comp: Component) -> list[tuple[int, int, int]] | None:
-            for s_index, seam in enumerate(comp.seams):
-                for c_index, child in enumerate(seam.children):
-                    here = (index_of[id(comp)], s_index, c_index)
-                    if isinstance(target, Mark):
-                        if child == target:
-                            return [here]
-                    elif isinstance(child, Component) and index_of[id(child)] == target:
-                        return [here]
-                    if isinstance(child, Component):
-                        deeper = search(child)
-                        if deeper is not None:
-                            return [here] + deeper
-            return None
-
-        return search(comps[alpha])
-
-    if isinstance(beta, Mark):
-        path = locate(beta)
-    else:
-        beta = int(beta)
-        path = locate(beta)
-    if path is None:
-        raise ValueError("beta does not lie strictly below alpha")
-
-    poly_x = MultiPoly.zero()
-    poly_y = MultiPoly.zero()
-    a_path: list[str] = []
-    for step, (screen_index, s_index, c_index) in enumerate(path):
-        x, y = plane_tree.points[screen_index][s_index][c_index]
-        mono = {name: 1 for name in a_path}
-        poly_x = poly_x + MultiPoly.from_monomial(mono, x)
-        poly_y = poly_y + MultiPoly.from_monomial(mono, y)
-        if step + 1 < len(path):
-            # the melting variable of the screen the walk enters next
-            a_path.append(_a_variable(path[step + 1][0]))
-    return poly_x, poly_y
+    return TransitionReport(samples, verified, samples - verified)

@@ -18,6 +18,9 @@ from typing import Sequence
 from .charts import (
     StableCurve,
     evaluate_chart,
+    json_entry,
+    json_object,
+    parse_vertex_label,
     transition_check,
     vertex_label,
 )
@@ -82,32 +85,14 @@ def _read_spec(path: str) -> dict:
     return spec
 
 
-def _parse_vertex(label: object) -> frozenset[int]:
-    if not isinstance(label, str):
-        raise ValueError(f"expected a vertex label such as \"1-3-4\", got {label!r}")
-    return frozenset(int(p) for p in label.split("-"))
-
-
-def _entry(spec: dict, key: str, what: str) -> object:
-    if key not in spec:
-        raise ValueError(f'{what} has no "{key}" entry')
-    return spec[key]
-
-
-def _parse_object(data: object, what: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _parse_slices(data: object) -> dict:
     slices = {}
-    for label, pair in _parse_object(data, "slices").items():
+    for label, pair in json_object(data, "slices").items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(
                 f"slice of {label} must be a pair of vertex labels, got {pair!r}"
             )
-        slices[_parse_vertex(label)] = (_parse_vertex(pair[0]), _parse_vertex(pair[1]))
+        slices[parse_vertex_label(label)] = tuple(map(parse_vertex_label, pair))
     return slices
 
 
@@ -323,9 +308,9 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read chart spec: {exc}")
     try:
-        curve = StableCurve.from_json(_entry(spec, "curve", "chart spec"))
-        glue_spec = _parse_object(_entry(spec, "glue", "chart spec"), "glue")
-        glue = {_parse_vertex(label): value for label, value in glue_spec.items()}
+        curve = StableCurve.from_json(json_entry(spec, "curve", "chart spec"))
+        glue_spec = json_object(json_entry(spec, "glue", "chart spec"), "glue")
+        glue = {parse_vertex_label(label): value for label, value in glue_spec.items()}
         slices = _parse_slices(spec["slices"]) if "slices" in spec else None
         glued = evaluate_chart(curve, glue, slices=slices)
     except (KeyError, ValueError) as exc:
@@ -345,10 +330,10 @@ def _cmd_transition_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read transition spec: {exc}")
     try:
-        tree1 = StableTree.from_json(_entry(spec, "tree1", "transition spec"))
-        tree2 = StableTree.from_json(_entry(spec, "tree2", "transition spec"))
-        slices1 = _parse_slices(_entry(spec, "slices1", "transition spec"))
-        slices2 = _parse_slices(_entry(spec, "slices2", "transition spec"))
+        tree1 = StableTree.from_json(json_entry(spec, "tree1", "transition spec"))
+        tree2 = StableTree.from_json(json_entry(spec, "tree2", "transition spec"))
+        slices1 = _parse_slices(json_entry(spec, "slices1", "transition spec"))
+        slices2 = _parse_slices(json_entry(spec, "slices2", "transition spec"))
     except (KeyError, ValueError) as exc:
         return _fail(_reason(exc))
     try:
@@ -360,8 +345,8 @@ def _cmd_transition_check(args: argparse.Namespace) -> int:
             samples=args.samples,
             seed=args.seed,
         )
-    except (AssertionError, ValueError) as exc:
-        return _fail(f"transition check failed: {exc}")
+    except (AssertionError, KeyError, ValueError) as exc:
+        return _fail(f"transition check failed: {_reason(exc)}")
     if args.format == "json":
         _emit_json(
             {

@@ -8,12 +8,12 @@ Two representations are provided:
 
 * :class:`MultiPoly` -- multivariate polynomials over the rationals, stored as
   a map from monomials (variable name -> positive exponent) to nonzero
-  ``Fraction`` coefficients.  These carry gluing polynomials and chart
-  transition data.
+  ``Fraction`` coefficients.  This is the ring of the symbolic gluing
+  polynomials, the oracle the numeric chart maps are checked against.
 
-Both representations have a canonical JSON form and deterministic printing
+``UniPoly`` has a canonical JSON form.  Both print deterministically
 (descending powers for ``UniPoly``, graded-lex on sorted variable names for
-``MultiPoly``), so equal polynomials always serialize and print identically.
+``MultiPoly``), so equal polynomials always print identically.
 """
 from __future__ import annotations
 
@@ -346,33 +346,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def partial_eval(self, assignment: Mapping[str, Scalar]) -> "MultiPoly":
-        """Substitute numbers for a subset of the variables."""
-        values = {str(v): Fraction(c) for v, c in assignment.items()}
-        out = MultiPoly.zero()
-        for mono, coeff in self.terms.items():
-            c = coeff
-            rest: dict[str, int] = {}
-            for v, e in mono:
-                if v in values:
-                    c *= values[v] ** e
-                else:
-                    rest[v] = e
-            out = out + MultiPoly.from_monomial(rest, c)
-        return out
-
     # -- comparisons / hashing ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -418,21 +391,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({dict(self.terms)!r})"
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"coeff": str(coeff), "monomial": {v: e for v, e in mono}}
-            for mono, coeff in self._sorted_terms()
-        ]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        out = cls.zero()
-        for item in data:
-            out = out + cls.from_monomial(item["monomial"], Fraction(item["coeff"]))
-        return out
 
 
 def multi_eval(p: MultiPoly, assignment: Mapping[str, Scalar]) -> Fraction:

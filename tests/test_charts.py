@@ -8,20 +8,16 @@ import pytest
 from linestrata.charts import (
     INFINITY,
     StableCurve,
-    StablePlaneTree,
     default_slices,
     evaluate_chart,
     extract_q_factor,
     gluing_polynomial,
-    gluing_polynomial_2d,
     invert_chart,
     normalize_to_slice,
     pinned_curve,
     transition_check,
 )
-from linestrata.exact_poly import MultiPoly, multi_eval
 from linestrata.trees import StableTree, enumerate_stable_trees, top_tree
-from linestrata.tree_pairs import Component, Mark, Seam, TreePair
 
 fz = frozenset
 F = Fraction
@@ -355,90 +351,6 @@ def test_bad_slices_are_rejected(vertex, pins, message):
         pinned_curve(tree1, slices1)
     with pytest.raises(ValueError, match=message):
         transition_check(tree1, slices1, tree2, slices2, samples=5)
-
-
-# ---------------------------------------------------------------------------
-# plane trees
-# ---------------------------------------------------------------------------
-
-
-def plane_fixture():
-    mark11 = Mark(1, 1)
-    mark12 = Mark(1, 2)
-    mark21 = Mark(2, 1)
-    inner = Component(
-        lines=fz({1, 2}),
-        seams=(
-            Seam(lines=fz({1}), children=(mark12,)),
-            Seam(lines=fz({2}), children=(mark21,)),
-        ),
-    )
-    root = Component(
-        lines=fz({1, 2}),
-        seams=(Seam(lines=fz({1, 2}), children=(inner, mark11)),),
-    )
-    tp = TreePair(n=(2, 1), seam_tree=top_tree(2), root=root)
-    plane = StablePlaneTree(
-        tree_pair=tp,
-        seam_positions={fz({1, 2}): (F(0), F(1))},
-        points={
-            0: (((F(2), F(0)), (F(2), F(5))),),
-            1: (((F(0), F(3)),), ((F(1), F(-1)),)),
-        },
-    )
-    return plane, mark11, mark12, mark21
-
-
-def test_plane_tree_validation():
-    plane, *_ = plane_fixture()
-    # splitting screens must inherit the line positions of their seam vertex
-    with pytest.raises(ValueError, match="inherit"):
-        StablePlaneTree(
-            tree_pair=plane.tree_pair,
-            seam_positions={fz({1, 2}): (F(0), F(1))},
-            points={
-                0: (((F(2), F(0)), (F(2), F(5))),),
-                1: (((F(7), F(3)),), ((F(1), F(-1)),)),
-            },
-        )
-    # two points of the same seam share their line position
-    with pytest.raises(ValueError, match="mixes line positions"):
-        StablePlaneTree(
-            tree_pair=plane.tree_pair,
-            seam_positions={fz({1, 2}): (F(0), F(1))},
-            points={
-                0: (((F(2), F(0)), (F(4), F(5))),),
-                1: (((F(0), F(3)),), ((F(1), F(-1)),)),
-            },
-        )
-
-
-def test_gluing_polynomial_2d():
-    plane, mark11, mark12, mark21 = plane_fixture()
-    # direct child: both coordinates constant
-    px, py = gluing_polynomial_2d(plane, 0, 1)
-    assert (str(px), str(py)) == ("2", "0")
-    # a mark one screen down: linear in the entered screen's variable
-    px, py = gluing_polynomial_2d(plane, 0, mark12)
-    assert (str(px), str(py)) == ("2", "3*a[1]")
-    px, py = gluing_polynomial_2d(plane, 0, mark21)
-    assert (str(px), str(py)) == ("a[1] + 2", "-a[1]")
-    # from the inner screen itself: constants again
-    px, py = gluing_polynomial_2d(plane, 1, mark21)
-    assert (str(px), str(py)) == ("1", "-1")
-    with pytest.raises(ValueError, match="below"):
-        gluing_polynomial_2d(plane, 1, mark11)
-
-
-def test_gluing_polynomial_2d_specializes():
-    """At a = 1 the polynomial is the plain sum of the step positions; at
-    a = 0 it is the first step alone."""
-    plane, _, mark12, mark21 = plane_fixture()
-    px, py = gluing_polynomial_2d(plane, 0, mark21)
-    assert multi_eval(px, {"a[1]": 1}) == 3
-    assert multi_eval(py, {"a[1]": 1}) == -1
-    assert multi_eval(px, {"a[1]": 0}) == 2
-    assert multi_eval(py, {"a[1]": 0}) == 0
 
 
 def _benchmark_transition_spec():

@@ -432,6 +432,63 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             _with(CHART_SPEC, "slices", ["1", "9"], "1-3-4"),
             "[9] is not a vertex of the tree",
         ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "glue", "1/0", "3-4"),
+            "expected a number or a fraction string, got '1/0'",
+        ),
+        (
+            "chart-eval",
+            _with(
+                CHART_SPEC,
+                "curve",
+                {"1-2-3-4": ["0", "1"], "1-3-4": ["0", "1/0"], "3-4": ["0", "1"]},
+                "positions",
+            ),
+            "expected a number or a fraction string, got '1/0'",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "glue", True, "3-4"),
+            "expected a number or a fraction string, got True",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "glue", "1/3", "x"),
+            'expected a vertex label such as "1-3-4", got \'x\'',
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "curve", {"x": ["0", "1"]}, "positions"),
+            'expected a vertex label such as "1-3-4", got \'x\'',
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "slices", ["1", "3-x"], "1-3-4"),
+            'expected a vertex label such as "1-3-4", got \'3-x\'',
+        ),
+        (
+            "chart-eval",
+            {
+                "curve": {
+                    "tree": [1, [2, 3]],
+                    "positions": {"1-2-3": ["0", "1"], "2-3": ["0", "1"]},
+                },
+                "glue": {"2-3": "1/2"},
+                "slices": {"1-2-3": ["1", "2"]},
+            },
+            "slice of vertex [1, 2, 3] pins [2], which is not one of its children",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "slices", ["1", "2"], "2"),
+            "slice of vertex [2]: a leaf has no slice",
+        ),
+        (
+            "transition-check",
+            _with(TRANSITION_SPEC, "slices1", ["1", "2"], "7"),
+            "transition check failed: [7] is not a vertex of the tree",
+        ),
     ],
 )
 def test_malformed_specs_are_errors(command, spec, error, tmp_path, capsys):
