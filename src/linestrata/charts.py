@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import isfinite
 from typing import Mapping, Sequence
 
 from .exact_poly import MultiPoly
@@ -24,6 +25,8 @@ def _fraction(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value  # immutable, so no copy is needed
     if not isinstance(value, bool):  # JSON true and false are not numbers
+        if isinstance(value, float) and isfinite(value):
+            value = repr(value)  # its decimal text, so that 0.1 reads as 1/10
         try:
             return Fraction(value)
         except (TypeError, OverflowError, ZeroDivisionError):

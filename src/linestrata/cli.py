@@ -3,7 +3,8 @@
 Subcommands: enumerate, fvector, vpp, vpp-table, check-local-model,
 chart-eval, transition-check.  Output is deterministic: identical
 invocations print identical bytes.  Exit codes: 0 success, 1 domain or
-check failure, 2 usage error.
+check failure, 2 usage error.  Each subcommand imports what it uses, so
+it runs no other module of the package.
 """
 
 from __future__ import annotations
@@ -13,27 +14,10 @@ import json
 import os
 import random
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .charts import (
-    StableCurve,
-    evaluate_chart,
-    json_entry,
-    json_object,
-    parse_vertex_label,
-    transition_check,
-    vertex_label,
-)
-from .local_models import (
-    canonical_generators,
-    coherence_generators,
-    lattice_is_saturated,
-    lattice_span_equal,
-    monoid_saturation_witness,
-)
-from .tree_pairs import TreePair, enumerate_tree_pairs
-from .trees import StableTree
-from .vpp import stratum_counts, vpp, vpp_table
+if TYPE_CHECKING:
+    from .tree_pairs import TreePair
 
 ENUM_GUARD = 12
 COUNT_GUARD = 14
@@ -86,6 +70,8 @@ def _read_spec(path: str) -> dict:
 
 
 def _parse_slices(data: object) -> dict:
+    from .charts import json_object, parse_vertex_label
+
     slices = {}
     for label, pair in json_object(data, "slices").items():
         if not isinstance(pair, list) or len(pair) != 2:
@@ -134,6 +120,8 @@ def _refuses_type(n: tuple[int, ...], max_size: int | None, guard: int) -> bool:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .vpp import stratum_counts
+
     n = args.n
     if _refuses_type(n, args.max_size, COUNT_GUARD):
         return 1
@@ -154,6 +142,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fvector(args: argparse.Namespace) -> int:
+    from .vpp import stratum_counts
+
     n = args.n
     if _refuses_type(n, args.max_size, COUNT_GUARD):
         return 1
@@ -166,6 +156,8 @@ def _cmd_fvector(args: argparse.Namespace) -> int:
 
 
 def _cmd_vpp(args: argparse.Namespace) -> int:
+    from .vpp import vpp
+
     n = args.n
     dimension = sum(n) + len(n) - 3
     if _exceeds_guard("dimension", dimension, args.max_size, VPP_GUARD):
@@ -179,6 +171,8 @@ def _cmd_vpp(args: argparse.Namespace) -> int:
 
 
 def _cmd_vpp_table(args: argparse.Namespace) -> int:
+    from .vpp import vpp_table
+
     d = args.dimension
     if _exceeds_guard("dimension", d, args.max_size, VPP_GUARD):
         return 1
@@ -205,6 +199,14 @@ def _check_one_model(
     """Worker: all local-model checks for one 0-dimensional stratum, the
     index-th of its type.  Returns (index, failure message or None, number
     of coordinates, number of generators)."""
+    from .local_models import (
+        canonical_generators,
+        coherence_generators,
+        lattice_is_saturated,
+        lattice_span_equal,
+        monoid_saturation_witness,
+    )
+
     tp, index, trials, seed = packed
     model = canonical_generators(tp)
     shape = (model.n_coords, len(model.generators))
@@ -242,6 +244,9 @@ def _worker_count(jobs: int, cpus: int, models: int) -> int:
 
 
 def _cmd_check_local_model(args: argparse.Namespace) -> int:
+    from .tree_pairs import enumerate_tree_pairs
+    from .vpp import stratum_counts
+
     n = args.n
     if _refuses_type(n, args.max_size, ENUM_GUARD):
         return 1
@@ -303,6 +308,15 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_chart_eval(args: argparse.Namespace) -> int:
+    from .charts import (
+        StableCurve,
+        evaluate_chart,
+        json_entry,
+        json_object,
+        parse_vertex_label,
+        vertex_label,
+    )
+
     try:
         spec = _read_spec(args.spec)
     except (OSError, ValueError) as exc:
@@ -325,6 +339,9 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_transition_check(args: argparse.Namespace) -> int:
+    from .charts import json_entry, transition_check
+    from .trees import StableTree
+
     try:
         spec = _read_spec(args.spec)
     except (OSError, ValueError) as exc:

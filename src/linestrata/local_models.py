@@ -314,6 +314,19 @@ def _generator_rows(obj) -> list[tuple[int, ...]]:
     return rows
 
 
+def _pivot(matrix: list[list[int]]) -> tuple[int, int]:
+    """Position of the first nonzero entry of least absolute value in
+    row-major order.  The entries are almost all +-1, so the scan stops at
+    the first row holding a unit."""
+    for i, row in enumerate(matrix):
+        if units := [row.index(u) for u in (1, -1) if u in row]:
+            return i, min(units)
+    _, i, j = min(
+        (abs(v), i, j) for i, row in enumerate(matrix) for j, v in enumerate(row) if v
+    )
+    return i, j
+
+
 def _diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     """Diagonalise an integer matrix by unimodular row and column operations
     and return the absolute values of its nonzero diagonal entries: their
@@ -329,12 +342,7 @@ def _diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     matrix = [list(row) for row in rows]
     diagonal: list[int] = []
     while matrix := [row for row in matrix if any(row)]:
-        _, i, j = min(
-            (abs(v), i, j)
-            for i, row in enumerate(matrix)
-            for j, v in enumerate(row)
-            if v
-        )
+        i, j = _pivot(matrix)
         pivot_row = matrix[i]
         pivot = pivot_row[j]
         clean = True

@@ -151,13 +151,13 @@ def test_check_local_model_json(capsys):
 
 def test_check_local_model_enumerates_once(monkeypatch, capsys):
     calls = []
-    enumerate_tree_pairs = linestrata.cli.enumerate_tree_pairs
+    enumerate_tree_pairs = linestrata.tree_pairs.enumerate_tree_pairs
 
     def counting(n, **kwargs):
         calls.append((n, kwargs))
         return enumerate_tree_pairs(n, **kwargs)
 
-    monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", counting)
+    monkeypatch.setattr(linestrata.tree_pairs, "enumerate_tree_pairs", counting)
     assert run(["check-local-model", "2,1", "--trials", "3"]) == 0
     assert out_of(capsys)[0].endswith("checked 4 models: all ok\n")
     assert calls == [((2, 1), {"dimension": 0})]
@@ -170,7 +170,7 @@ def test_check_local_model_refuses_too_many_strata(n, strata, monkeypatch, capsy
     def refuse(n):
         raise AssertionError(f"enumerate_tree_pairs({n}) called")
 
-    monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", refuse)
+    monkeypatch.setattr(linestrata.tree_pairs, "enumerate_tree_pairs", refuse)
     assert run(["check-local-model", n]) == 1
     out, err = out_of(capsys)
     assert out == ""
@@ -231,6 +231,52 @@ def test_import_does_not_load_sympy(capsys):
     assert blocked.stdout == out_of(capsys)[0]
 
 
+SUBMODULES = (
+    "_combi", "exact_poly", "trees", "tree_pairs", "local_models", "charts", "vpp"
+)
+
+
+def _modules_run(*argvs) -> list[list[str]]:
+    """In a fresh interpreter: the submodules that have run, plus
+    "dataclasses" once it is imported, after ``import linestrata.cli`` and
+    again after running argvs.  ``type()`` does not load a registered
+    module; it is a plain module once its code has run."""
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "import linestrata.cli\n"
+        "def state():\n"
+        f"    ran = [n for n in {SUBMODULES!r}\n"
+        "           if type(sys.modules['linestrata.' + n]) is types.ModuleType]\n"
+        "    return ran + ['dataclasses'] * ('dataclasses' in sys.modules)\n"
+        "states = [state()]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if linestrata.cli.run(argv):\n"
+        "            sys.exit(f'{argv} failed')\n"
+        "print(json.dumps(states + [state()]))\n"
+    )
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_commands_run_only_the_modules_they_use():
+    # counting and the VPP recursion need neither trees nor dataclasses
+    assert _modules_run(["fvector", "3,3"], ["vpp", "1,2"]) == [
+        [],
+        ["_combi", "exact_poly", "vpp"],
+    ]
+    transition = ["transition-check", str(TRANSITION_8), "--samples", "20"]
+    assert _modules_run(transition) == [
+        [],
+        ["_combi", "exact_poly", "trees", "charts", "dataclasses"],
+    ]
+    assert _modules_run(["check-local-model", "2,1", "--trials", "1"])[1] == [
+        *(n for n in SUBMODULES if n != "charts"),
+        "dataclasses",
+    ]
+
+
 CHART_SPEC = {
     "curve": {
         "tree": [[1, [3, 4]], 2],
@@ -260,6 +306,11 @@ def test_chart_eval(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["positions"] == {"1-2-3-4": ["0", "1", "1/2", "2/3"]}
     assert payload["tree"] == [1, 2, 3, 4]
+    # a JSON float reads as its decimal text, not as its binary value
+    floats = _with(CHART_SPEC, "glue", {"1-3-4": 0.5, "3-4": 0.1})
+    spec.write_text(json.dumps(floats))
+    assert run(["chart-eval", str(spec)]) == 0
+    assert out_of(capsys)[0] == "screen 1-2-3-4: 0, 1, 1/2, 11/20\n"
 
 
 def test_chart_eval_domain_error(tmp_path, capsys):
@@ -507,12 +558,12 @@ def test_missing_spec_file(capsys):
 
 
 def test_check_local_model_cross_checks_the_stratum_count(monkeypatch, capsys):
-    enumerate_tree_pairs = linestrata.cli.enumerate_tree_pairs
+    enumerate_tree_pairs = linestrata.tree_pairs.enumerate_tree_pairs
 
     def dropping(n, **kwargs):
         return enumerate_tree_pairs(n, **kwargs)[1:]
 
-    monkeypatch.setattr(linestrata.cli, "enumerate_tree_pairs", dropping)
+    monkeypatch.setattr(linestrata.tree_pairs, "enumerate_tree_pairs", dropping)
     assert run(["check-local-model", "2,1", "--trials", "3"]) == 1
     out, err = out_of(capsys)
     assert out == ""

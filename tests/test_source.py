@@ -37,6 +37,10 @@ def test_exports_resolve():
     ]
     assert len(modules) > 5
     assert not missing, missing
+    # the package serves its names on access; dir() still lists them, and
+    # the name vpp is the function, not its module
+    assert set(linestrata.__all__) <= set(dir(linestrata))
+    assert linestrata.vpp is vars(importlib.import_module("linestrata.vpp"))["vpp"]
 
 
 def _top_level_names(node: ast.stmt) -> list[str]:

@@ -8,7 +8,7 @@ fails.  The tracer file is loaded by path and only read.
 import importlib.util
 from pathlib import Path
 
-import linestrata.cli  # noqa: F401  (imports every module the tables name)
+import linestrata.cli  # noqa: F401  (registers every module the tables name)
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
