@@ -44,7 +44,7 @@ _EXPORTS = {
         "SolveResult", "solve_difference_constraints", "monoid_saturation_witness",
     ),
     "charts": (
-        "INFINITY", "StableCurve", "pinned_curve", "default_slices",
+        "StableCurve", "pinned_curve", "default_slices",
         "gluing_polynomial", "extract_q_factor", "evaluate_chart", "normalize_to_slice",
         "invert_chart", "transition_check",
     ),

@@ -34,27 +34,6 @@ def _fraction(value: object) -> Fraction:
     raise ValueError(f"expected a number or a fraction string, got {value!r}")
 
 
-class AtInfinity:
-    """Placeholder position for vertices outside a subtree.
-
-    It deliberately supports no arithmetic; code that would add or scale it
-    is wrong and should fail loudly.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "at-infinity"
-
-
-INFINITY = AtInfinity()
-
-
 def vertex_label(vertex: Bracket) -> str:
     return "-".join(str(i) for i in sorted(vertex))
 
@@ -149,21 +128,9 @@ class StableCurve:
             )
         self.positions = cleaned
 
-    def position_toward(self, rho: Bracket, sigma: Bracket):
-        """The position at screen rho in the direction of sigma, or the
-        at-infinity marker when sigma does not lie below rho."""
-        rho = _as_vertex(self.tree, rho)
-        sigma = _as_vertex(self.tree, sigma)
-        if not sigma < rho:
-            return INFINITY
-        for index, child in enumerate(self.tree.children(rho)):
-            if sigma <= child:
-                return self.positions[rho][index]
-        raise AssertionError("child lookup failed")
-
     def to_json(self) -> dict:
         return {
-            "tree": self.tree.to_json(),
+            "tree": self.tree.to_nested(),
             "positions": {
                 vertex_label(v): [str(x) for x in xs]
                 for v, xs in sorted(self.positions.items(), key=lambda kv: sorted(kv[0]))
@@ -176,7 +143,7 @@ class StableCurve:
         data = json_object(data, "curve")
         nested = json_entry(data, "tree", "curve")
         entries = json_entry(data, "positions", "curve")
-        tree = StableTree.from_json(nested)
+        tree = StableTree.from_nested(nested)
         positions = {}
         for label, values in json_object(entries, "positions").items():
             if not isinstance(values, list):
@@ -234,9 +201,11 @@ def pinned_curve(
 
 def check_slices(curve: StableCurve, slices: Mapping[Bracket, tuple[Bracket, Bracket]]) -> None:
     for rho, (s0, s1) in validate_slices(curve.tree, slices).items():
-        if curve.position_toward(rho, s0) != 0:
+        children = curve.tree.children(rho)
+        screen = curve.positions[rho]
+        if screen[children.index(s0)] != 0:
             raise ValueError(f"slice child {sorted(s0)} of {sorted(rho)} is not at 0")
-        if curve.position_toward(rho, s1) != 1:
+        if screen[children.index(s1)] != 1:
             raise ValueError(f"slice child {sorted(s1)} of {sorted(rho)} is not at 1")
 
 

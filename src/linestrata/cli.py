@@ -10,7 +10,6 @@ it runs no other module of the package.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -55,10 +54,14 @@ def _int_at_least(low: int):
 
 
 def _emit_json(payload: object) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _read_spec(path: str) -> dict:
+    import json
+
     if path == "-":
         spec = json.load(sys.stdin)
     else:
@@ -347,8 +350,8 @@ def _cmd_transition_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read transition spec: {exc}")
     try:
-        tree1 = StableTree.from_json(json_entry(spec, "tree1", "transition spec"))
-        tree2 = StableTree.from_json(json_entry(spec, "tree2", "transition spec"))
+        tree1 = StableTree.from_nested(json_entry(spec, "tree1", "transition spec"))
+        tree2 = StableTree.from_nested(json_entry(spec, "tree2", "transition spec"))
         slices1 = _parse_slices(json_entry(spec, "slices1", "transition spec"))
         slices2 = _parse_slices(json_entry(spec, "slices2", "transition spec"))
     except (KeyError, ValueError) as exc:
@@ -405,6 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default="pretty",
             help="output format (default pretty)",
         )
+
+    def guarded(p: argparse.ArgumentParser) -> None:
+        common(p)
         p.add_argument(
             "--max-size",
             type=_int_at_least(0),
@@ -414,22 +420,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="count strata by dimension")
     p.add_argument("n", type=_vector, help="mark counts, e.g. 2,0")
-    common(p)
+    guarded(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("fvector", help="strata counts per dimension")
     p.add_argument("n", type=_vector)
-    common(p)
+    guarded(p)
     p.set_defaults(func=_cmd_fvector)
 
     p = sub.add_parser("vpp", help="virtual Poincare polynomial")
     p.add_argument("n", type=_vector)
-    common(p)
+    guarded(p)
     p.set_defaults(func=_cmd_vpp)
 
     p = sub.add_parser("vpp-table", help="all types of a given dimension")
     p.add_argument("dimension", type=_int_at_least(0))
-    common(p)
+    guarded(p)
     p.set_defaults(func=_cmd_vpp_table)
 
     p = sub.add_parser(
@@ -437,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify lattice models of the 0-dimensional strata",
     )
     p.add_argument("n", type=_vector)
-    common(p)
+    guarded(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--trials", type=_int_at_least(0), default=20, help="witness trials per model"

@@ -48,18 +48,6 @@ class UniPoly:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
 
-    @classmethod
-    def _trusted(cls, cs: list[int]) -> "UniPoly":
-        """Wrap a list of Python ints without coercing them.
-
-        Takes ownership of cs and trims its trailing zeros in place.
-        """
-        while cs and cs[-1] == 0:
-            cs.pop()
-        out = object.__new__(cls)
-        out.coeffs = tuple(cs)
-        return out
-
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -109,7 +97,7 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly._trusted(out)
+        return UniPoly(out)
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
@@ -128,7 +116,7 @@ class UniPoly:
                 continue
             for j, b in terms:
                 out[i + j] += a * b
-        return UniPoly._trusted(out)
+        return UniPoly(out)
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:

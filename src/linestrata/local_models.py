@@ -82,21 +82,6 @@ class LatticeModel:
         """:func:`_diagonal` of the generators."""
         return tuple(_diagonal(_generator_rows(self)))
 
-    def to_json(self) -> dict:
-        return {
-            "names": list(self.names),
-            "generators": [list(g) for g in self.generators],
-            "seam_columns": sorted(self.seam_columns),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LatticeModel":
-        return cls(
-            names=tuple(data["names"]),
-            generators=tuple(tuple(int(v) for v in g) for g in data["generators"]),
-            seam_columns=frozenset(int(c) for c in data.get("seam_columns", [])),
-        )
-
 
 def lattice_coordinates(tp: TreePair) -> list[CoordKey]:
     """Default coordinate keys: non-root screens in walk order, then

@@ -634,8 +634,12 @@ def two_bracketing_to_tree_pair(
     return tp
 
 
+# the largest candidate pool the brute force searches, per seam tree
+_MAX_CANDIDATES = 64
+
+
 def enumerate_two_bracketings_bruteforce(
-    n: Sequence[int], max_candidates: int = 64
+    n: Sequence[int],
 ) -> list[tuple[frozenset[Bracket], frozenset[TwoBracket]]]:
     """Every bracketing structure satisfying the stratum axioms, found by
     exhaustive search.  Independent cross-check of the tree-pair
@@ -679,10 +683,10 @@ def enumerate_two_bracketings_bruteforce(
                     if candidate in forced:
                         continue
                     pool.append(candidate)
-        if len(pool) > max_candidates:
+        if len(pool) > _MAX_CANDIDATES:
             raise ValueError(
                 f"candidate pool of size {len(pool)} exceeds the bound "
-                f"{max_candidates}; the brute force is for small types only"
+                f"{_MAX_CANDIDATES}; the brute force is for small types only"
             )
 
         # mark-sharing entries must nest; a violating pair can never be

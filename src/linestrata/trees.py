@@ -209,13 +209,6 @@ class StableTree:
     def __repr__(self) -> str:
         return f"StableTree.from_nested({self.to_nested()!r})"
 
-    def to_json(self) -> object:
-        return self.to_nested()
-
-    @classmethod
-    def from_json(cls, data: object, r: int | None = None) -> "StableTree":
-        return cls.from_nested(data, r)
-
 
 def top_tree(r: int) -> StableTree:
     """The corolla: root with all leaves as children (the unique maximum)."""

@@ -128,14 +128,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._combi import Vector, vector_partitions
 # bound but never called: benchmarks/tracer.py counts the set partitions
 # taken by each module that binds this name, and the benchmark reports this
 # module's count, which is 0 since line partitions are summed by column type
 from ._combi import set_partitions as set_partitions
-from .exact_poly import UniPoly, config_poly, quotient_config_poly
+
+if TYPE_CHECKING:
+    from .exact_poly import UniPoly
 
 __all__ = [
     "vpp",
@@ -303,6 +305,8 @@ def _evaluate(jobs: Sequence[tuple[int, tuple[Vector, ...]]], slope: int) -> lis
 
 def _poly(coeffs: list[int]) -> UniPoly:
     """The polynomial in x with the given coefficients in q = x^2."""
+    from .exact_poly import UniPoly
+
     return UniPoly([c for q_coeff in coeffs for c in (q_coeff, 0)])
 
 
@@ -622,6 +626,8 @@ def stratum_vpp(tp) -> UniPoly:
     their seam contents divided by the screen reparametrizations; single-line
     screens contribute their children's heights modulo affine maps.
     """
+    from .exact_poly import UniPoly, config_poly, quotient_config_poly
+
     out = UniPoly.one()
     for rho in tp.seam_tree.interior_vertices():
         out = out * quotient_config_poly(tp.seam_tree.in_degree(rho))
@@ -638,6 +644,7 @@ def stratum_vpp(tp) -> UniPoly:
 
 def vpp_by_strata(n: Sequence[int]) -> UniPoly:
     """Sum of stratum polynomials over all tree pairs; equals vpp(n)."""
+    from .exact_poly import UniPoly
     from .tree_pairs import enumerate_tree_pairs
 
     total = UniPoly.zero()

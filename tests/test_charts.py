@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from linestrata.charts import (
-    INFINITY,
     StableCurve,
     default_slices,
     evaluate_chart,
@@ -59,18 +58,6 @@ def test_stable_curve_validation():
         StableCurve(tree, {})
     with pytest.raises(ValueError, match="needs 3 positions"):
         StableCurve(tree, {tree.root: (0, 1)})
-
-
-def test_position_toward_and_infinity():
-    tree, slices = left_comb()
-    curve = pinned_curve(tree, slices)
-    assert curve.position_toward(tree.root, fz({2})) == 1
-    # toward a deeper vertex: the position of the child containing it
-    assert curve.position_toward(tree.root, fz({3})) == 0
-    assert curve.position_toward(fz({3, 4}), fz({1})) is INFINITY
-    assert repr(INFINITY) == "at-infinity"
-    with pytest.raises(TypeError):
-        INFINITY + 1
 
 
 def test_gluing_polynomial_shapes():
@@ -362,9 +349,9 @@ def _benchmark_transition_spec():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "transition_8.json"
     spec = json.loads(path.read_text())
     return (
-        StableTree.from_json(spec["tree1"]),
+        StableTree.from_nested(spec["tree1"]),
         _parse_slices(spec["slices1"]),
-        StableTree.from_json(spec["tree2"]),
+        StableTree.from_nested(spec["tree2"]),
         _parse_slices(spec["slices2"]),
     )
 

@@ -105,7 +105,9 @@ def test_size_guards(capsys):
     assert run(["enumerate", "3,0", "--max-size", "5"]) == 0
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps(CHART_SPEC))
     for argv in (
         ["vpp", "1,x"],
         ["no-such-command"],
@@ -115,6 +117,9 @@ def test_usage_errors():
         ["transition-check", "-", "--samples", "-5"],
         ["enumerate", "2,1", "--max-size", "-5"],
         ["vpp", "1,1", "--max-size", "-1"],
+        # only the guarded commands take --max-size
+        ["chart-eval", str(chart), "--max-size", "3"],
+        ["transition-check", str(TRANSITION_8), "--max-size", "3"],
     ):
         with pytest.raises(SystemExit) as info:
             run(argv)
@@ -236,24 +241,27 @@ SUBMODULES = (
 )
 
 
-def _modules_run(*argvs) -> list[list[str]]:
-    """In a fresh interpreter: the submodules that have run, plus
-    "dataclasses" once it is imported, after ``import linestrata.cli`` and
-    again after running argvs.  ``type()`` does not load a registered
-    module; it is a plain module once its code has run."""
+def _modules_run(*argvs, stdlib=("dataclasses",)) -> list[list[str]]:
+    """In a fresh interpreter: the submodules that have run, plus the
+    modules of `stdlib` that are imported, after ``import linestrata.cli``
+    and again after running argvs.  ``type()`` does not load a registered
+    module; it is a plain module once its code has run.  The script
+    imports json only after taking both states."""
     script = (
-        "import contextlib, io, json, sys, types\n"
+        "import contextlib, io, sys, types\n"
         "import linestrata.cli\n"
         "def state():\n"
         f"    ran = [n for n in {SUBMODULES!r}\n"
         "           if type(sys.modules['linestrata.' + n]) is types.ModuleType]\n"
-        "    return ran + ['dataclasses'] * ('dataclasses' in sys.modules)\n"
+        f"    return ran + [n for n in {stdlib!r} if n in sys.modules]\n"
         "states = [state()]\n"
         f"for argv in {list(argvs)!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        if linestrata.cli.run(argv):\n"
         "            sys.exit(f'{argv} failed')\n"
-        "print(json.dumps(states + [state()]))\n"
+        "states.append(state())\n"
+        "import json\n"
+        "print(json.dumps(states))\n"
     )
     result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
@@ -261,6 +269,10 @@ def _modules_run(*argvs) -> list[list[str]]:
 
 
 def test_commands_run_only_the_modules_they_use():
+    # counting needs no polynomials, and pretty output no json
+    assert _modules_run(
+        ["fvector", "3,3"], stdlib=("dataclasses", "decimal", "fractions", "json")
+    ) == [[], ["_combi", "vpp"]]
     # counting and the VPP recursion need neither trees nor dataclasses
     assert _modules_run(["fvector", "3,3"], ["vpp", "1,2"]) == [
         [],
@@ -272,7 +284,7 @@ def test_commands_run_only_the_modules_they_use():
         ["_combi", "exact_poly", "trees", "charts", "dataclasses"],
     ]
     assert _modules_run(["check-local-model", "2,1", "--trials", "1"])[1] == [
-        *(n for n in SUBMODULES if n != "charts"),
+        *(n for n in SUBMODULES if n not in ("exact_poly", "charts")),
         "dataclasses",
     ]
 
@@ -539,6 +551,21 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             "transition-check",
             _with(TRANSITION_SPEC, "slices1", ["1", "2"], "7"),
             "transition check failed: [7] is not a vertex of the tree",
+        ),
+        (
+            "chart-eval",
+            _with(CHART_SPEC, "slices", ["2", "1-3-4"], "1-2-3-4"),
+            "slice child [2] of [1, 2, 3, 4] is not at 0",
+        ),
+        (
+            "chart-eval",
+            _with(
+                CHART_SPEC,
+                "curve",
+                {"1-2-3-4": ["0", "2"], "1-3-4": ["0", "1"], "3-4": ["0", "1"]},
+                "positions",
+            ),
+            "slice child [2] of [1, 2, 3, 4] is not at 1",
         ),
     ],
 )

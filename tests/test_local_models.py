@@ -16,7 +16,6 @@ from linestrata.local_models import (
     NEG_INF,
     POS_INF,
     DiffConstraintSystem,
-    LatticeModel,
     _incidence,
     _lattice_model,
     _path,
@@ -265,12 +264,6 @@ def test_default_coordinates_cover_everything():
     model = canonical_generators(tp)
     assert model.n_coords == 5
     assert len(model.names) == 5
-
-
-def test_lattice_model_json_round_trip():
-    tp, coords, names = fixture_seam()
-    model = canonical_generators(tp, coordinates=coords, names=names)
-    assert LatticeModel.from_json(model.to_json()) == model
 
 
 def test_saturation_is_unimodular_invariant():

@@ -124,15 +124,6 @@ def test_kronecker_decoding_and_division(cs, bits, screens):
         assert vpp_module._digits(ring.divide(value, screens), bits) == cs[screens:]
 
 
-@settings(max_examples=80, deadline=None)
-@given(coeff_lists)
-def test_trusted_constructor_agrees(cs):
-    trusted = UniPoly._trusted(list(cs))
-    assert trusted == UniPoly(cs)
-    assert type(trusted.coeffs) is tuple
-    assert not trusted.coeffs or trusted.coeffs[-1] != 0
-
-
 @st.composite
 def fiber_jobs(draw):
     """A small fiber product (r, factors): up to three lines, up to three

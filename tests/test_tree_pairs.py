@@ -239,7 +239,7 @@ def test_two_bracketing_bruteforce_matches_enumeration():
 
 def test_two_bracketing_bruteforce_guard():
     with pytest.raises(ValueError, match="exceeds the bound"):
-        enumerate_two_bracketings_bruteforce((6, 6), max_candidates=64)
+        enumerate_two_bracketings_bruteforce((6, 6))
     with pytest.raises(ValueError, match="at least one mark"):
         enumerate_two_bracketings_bruteforce((0, 0, 0))
 
