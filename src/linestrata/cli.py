@@ -322,7 +322,7 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
 
     try:
         spec = _read_spec(args.spec)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         return _fail(f"cannot read chart spec: {exc}")
     try:
         curve = StableCurve.from_json(json_entry(spec, "curve", "chart spec"))
@@ -347,7 +347,7 @@ def _cmd_transition_check(args: argparse.Namespace) -> int:
 
     try:
         spec = _read_spec(args.spec)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         return _fail(f"cannot read transition spec: {exc}")
     try:
         tree1 = StableTree.from_nested(json_entry(spec, "tree1", "transition spec"))

@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._combi import set_partitions, set_partitions_at_least
-from .trees import Bracket, StableTree, enumerate_stable_trees, top_tree
+from .trees import Bracket, StableTree, enumerate_stable_trees, top_tree, tree_dimension
 
 __all__ = [
     "Mark",
@@ -141,10 +141,8 @@ class TreePair:
 
         def walk(comp: Component) -> None:
             out.append(comp)
-            for seam in comp.seams:
-                for child in seam.children:
-                    if isinstance(child, Component):
-                        walk(child)
+            for child in comp.child_components():
+                walk(child)
 
         walk(self.root)
         return out
@@ -152,9 +150,9 @@ class TreePair:
     def canonical_key(self) -> str:
         """The stratum's canonical form: its JSON with sorted keys.
 
-        Every constructor, :meth:`from_json` included, stores a seam's
-        children in ``_child_sort_key`` order and a screen's seams by
-        smallest line, so two equal strata give the same string.
+        Every constructor stores a seam's children in ``_child_sort_key``
+        order and a screen's seams by smallest line, so two equal strata
+        give the same string.
         """
         return json.dumps(self.to_json(), sort_keys=True)
 
@@ -184,36 +182,6 @@ class TreePair:
             "bubble_tree": comp_json(self.root),
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TreePair":
-        """Parse and validate a stratum; children and seams may come in any
-        order and are stored in canonical order."""
-
-        def parse_child(obj: Mapping) -> Component | Mark:
-            if "mark" in obj:
-                line, index = obj["mark"]
-                return Mark(int(line), int(index))
-            return parse_comp(obj)
-
-        def parse_comp(obj: Mapping) -> Component:
-            seams = sorted(
-                (
-                    Seam(
-                        frozenset(int(x) for x in seam["lines"]),
-                        _sorted_children(parse_child(c) for c in seam["children"]),
-                    )
-                    for seam in obj["seams"]
-                ),
-                key=lambda seam: sorted(seam.lines),
-            )
-            return Component(frozenset(int(x) for x in obj["lines"]), tuple(seams))
-
-        n = tuple(int(c) for c in data["n"])
-        tree = StableTree.from_nested(data["seam_tree"], len(n))
-        tp = cls(n, tree, parse_comp(data["bubble_tree"]))
-        validate_tree_pair(tp)
-        return tp
-
     @cached_property
     def dimension(self) -> int:
         """:func:`stratum_dimension` of this stratum, computed once."""
@@ -226,10 +194,6 @@ class TreePair:
 # ---------------------------------------------------------------------------
 # validation / dimension
 # ---------------------------------------------------------------------------
-
-
-def _is_degenerate_whole_space(tp: TreePair) -> bool:
-    return tp.n == (1,)
 
 
 def validate_tree_pair(tp: TreePair) -> None:
@@ -253,22 +217,12 @@ def validate_tree_pair(tp: TreePair) -> None:
                     f"single screen over {sorted(comp.lines)} has seam over"
                     f" {sorted(seam.lines)}"
                 )
-            if len(seam.children) < 2 and not (
-                is_root and _is_degenerate_whole_space(tp)
-            ):
+            # the one-mark whole space is the only screen with one object
+            if len(seam.children) < 2 and not (is_root and tp.n == (1,)):
                 raise ValueError(
                     f"single screen over {sorted(comp.lines)} carries"
                     f" {len(seam.children)} object(s); needs at least 2"
                 )
-            for child in seam.children:
-                if isinstance(child, Mark):
-                    if len(comp.lines) != 1 or child.line not in comp.lines:
-                        raise ValueError(f"mark {child} misplaced on a seam over {sorted(seam.lines)}")
-                    seen_marks.append((child.line, child.index))
-                else:
-                    if child.lines != comp.lines:
-                        raise ValueError("child screen of a single screen must carry the same lines")
-                    walk(child, False)
         else:
             if len(comp.lines) < 2:
                 raise ValueError("multi screen over a single line")
@@ -287,20 +241,20 @@ def validate_tree_pair(tp: TreePair) -> None:
                 raise ValueError(
                     f"multi screen over {sorted(comp.lines)} carries no object"
                 )
-            for seam in comp.seams:
-                for child in seam.children:
-                    if isinstance(child, Mark):
-                        if len(seam.lines) != 1 or child.line not in seam.lines:
-                            raise ValueError(
-                                f"mark {child} misplaced on a seam over {sorted(seam.lines)}"
-                            )
-                        seen_marks.append((child.line, child.index))
-                    else:
-                        if child.lines != seam.lines:
-                            raise ValueError(
-                                "screen under a seam must carry exactly the seam's lines"
-                            )
-                        walk(child, False)
+        for seam in comp.seams:
+            for child in seam.children:
+                if isinstance(child, Mark):
+                    if len(seam.lines) != 1 or child.line not in seam.lines:
+                        raise ValueError(
+                            f"mark {child} misplaced on a seam over {sorted(seam.lines)}"
+                        )
+                    seen_marks.append((child.line, child.index))
+                else:
+                    if child.lines != seam.lines:
+                        raise ValueError(
+                            "screen under a seam must carry exactly the seam's lines"
+                        )
+                    walk(child, False)
 
     walk(tp.root, True)
     if len(seen_marks) != len(set(seen_marks)):
@@ -313,9 +267,7 @@ def validate_tree_pair(tp: TreePair) -> None:
 
 def stratum_dimension(tp: TreePair) -> int:
     """Moduli dimension of the open stratum."""
-    total = sum(
-        tp.seam_tree.in_degree(b) - 2 for b in tp.seam_tree.interior_vertices()
-    )
+    total = tree_dimension(tp.seam_tree)
     for comp in tp.components():
         if comp.is_multi:
             total += sum(len(seam.children) for seam in comp.seams) - 1
@@ -352,50 +304,40 @@ def top_tree_pair(n: Sequence[int]) -> TreePair:
 # ---------------------------------------------------------------------------
 
 
-def _line_children(
-    line: int, marks: tuple[Mark, ...], min_clusters: int
-) -> Iterator[tuple[Component | Mark, ...]]:
-    """Every sorted seam child tuple over the marks of one line: the marks
-    split into at least min_clusters clusters, a lone mark staying a mark and
-    a larger cluster becoming a single-line screen."""
-    for clusters in set_partitions_at_least(marks, min_clusters):
-        options = [
-            [block[0]] if len(block) == 1 else _line_bubbles(line, tuple(block), False)
-            for block in clusters
-        ]
-        for combo in product(*options):
-            yield _sorted_children(combo)
-
-
-def _line_bubbles(line: int, marks: tuple[Mark, ...], top: bool) -> list[Component]:
-    """All single-line screens over the given marks."""
-    lines = frozenset({line})
-    if top and len(marks) == 1:
-        return [Component(lines, (Seam(lines, marks),))]
-    # a screen needs two objects, so one cluster of all the marks is no screen
-    return [
-        Component(lines, (Seam(lines, children),))
-        for children in _line_children(line, marks, 2)
-    ]
-
-
 @lru_cache(maxsize=None)
 def _fusion_trees(k: int) -> tuple[StableTree, ...]:
     """The stable trees on k screens, shared by every call."""
     return tuple(enumerate_stable_trees(k))
 
 
-def _fuse(tree: StableTree, screens: Sequence[Component], lines: frozenset[int]) -> Component:
-    """A factor's root: its screens, leaf i of the fusion tree being
-    screens[i - 1], under one single screen per interior vertex."""
+def _fuse(
+    tree: StableTree, screens: Sequence[Component | Mark], lines: frozenset[int]
+) -> Component | Mark:
+    """Screens fused under a stable tree, leaf i being screens[i - 1], with
+    one single screen per interior vertex; a one-leaf tree gives its leaf."""
 
-    def build(vertex: Bracket) -> Component:
+    def build(vertex: Bracket) -> Component | Mark:
         if len(vertex) == 1:
             return screens[min(vertex) - 1]
         kids = _sorted_children(build(child) for child in tree.children(vertex))
         return Component(lines, (Seam(lines, kids),))
 
     return build(tree.root)
+
+
+def _line_children(
+    line: int, marks: tuple[Mark, ...]
+) -> Iterator[tuple[Component | Mark, ...]]:
+    """Every sorted seam child tuple over the marks of one line: each
+    cluster of a set partition of the marks fused under a stable tree."""
+    lines = frozenset({line})
+    for clusters in set_partitions(marks):
+        options = [
+            [_fuse(tree, cluster, lines) for tree in _fusion_trees(len(cluster))]
+            for cluster in clusters
+        ]
+        for combo in product(*options):
+            yield _sorted_children(combo)
 
 
 def _screen_rows(screen: tuple[Mark, ...], parts: Sequence[tuple[int, ...]]) -> list[tuple]:
@@ -406,8 +348,8 @@ def _screen_rows(screen: tuple[Mark, ...], parts: Sequence[tuple[int, ...]]) -> 
     for part in parts:
         here = tuple(m for m in screen if m.line in part)
         if len(part) == 1:
-            # no minimum: a line without marks keeps its one empty seam
-            options.append(list(_line_children(part[0], here, 0)))
+            # a line without marks keeps its one empty seam
+            options.append(list(_line_children(part[0], here)))
         else:
             options.append([tuple(map(tuple, groups)) for groups in set_partitions(here)])
     return list(product(*options))
@@ -443,11 +385,18 @@ def _enum_fiber(
     """
     if any(not marks for marks in factors):
         raise ValueError("a factor with no marks cannot cover a line")
-    if len(lines) == 1:
-        options = [_line_bubbles(lines[0], marks, True) for marks in factors]
-        return tuple((frozenset(), combo) for combo in product(*options))
-
     full = frozenset(lines)
+    if len(lines) == 1:
+        # reached only by a type (m,), once per enumeration (sub-fibers are
+        # over fat parts), so its fusion trees are not kept
+        (marks,) = factors
+        if len(marks) == 1:
+            return ((frozenset(), (Component(full, (Seam(full, marks),)),)),)
+        return tuple(
+            (frozenset(), (_fuse(tree, marks, full),))
+            for tree in enumerate_stable_trees(len(marks))
+        )
+
     presentations = [
         [
             (tuple(map(tuple, screens)), tree)

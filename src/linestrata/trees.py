@@ -13,7 +13,7 @@ nested form canonical.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from ._combi import set_partitions_at_least
 
@@ -38,9 +38,7 @@ def _check_laminar(brackets: Iterable[Bracket]) -> None:
                 raise ValueError(f"brackets {sorted(a)} and {sorted(b)} overlap")
 
 
-_Structure = tuple[
-    dict[Bracket, Bracket], dict[Bracket, tuple[Bracket, ...]], tuple[Bracket, ...]
-]
+_Structure = tuple[dict[Bracket, Bracket], dict[Bracket, tuple[Bracket, ...]]]
 
 
 def _build_structure(r: int, brackets: frozenset[Bracket]) -> _Structure:
@@ -62,24 +60,23 @@ def _build_structure(r: int, brackets: frozenset[Bracket]) -> _Structure:
                 kids.append(child)
             top[leaf] = b
         below[b] = tuple(kids)
+    # the interior vertices keyed in preorder, children by smallest leaf
     children: dict[Bracket, tuple[Bracket, ...]] = {}
-    preorder = []
     stack = [top[1]]
     while stack:
         b = stack.pop()
-        preorder.append(b)
         kids = below.get(b)
         if kids is not None:
             children[b] = kids
             stack.extend(reversed(kids))
-    return parents, children, tuple(preorder)
+    return parents, children
 
 
 class StableTree:
     """Rooted tree on leaves {1..r}, every interior vertex with >= 2 children.
 
-    The parent map, child lists and preorder are derived from the brackets
-    once, on the first structural query, and stored with the tree.
+    The parent map and child lists are derived from the brackets once, on
+    the first structural query, and stored with the tree.
     """
 
     __slots__ = ("r", "brackets", "_structure")
@@ -103,9 +100,9 @@ class StableTree:
     # -- structure ----------------------------------------------------
 
     def _built(self) -> _Structure:
-        """(parents, children, preorder): the parent of every non-root
-        vertex; the children of every interior vertex, ordered by smallest
-        leaf, keyed in preorder; and all vertices in preorder."""
+        """(parents, children): the parent of every non-root vertex, and the
+        children of every interior vertex, ordered by smallest leaf, keyed
+        in preorder."""
         structure = self._structure
         if structure is None:
             structure = self._structure = _build_structure(self.r, self.brackets)
@@ -114,9 +111,6 @@ class StableTree:
     @property
     def root(self) -> Bracket:
         return frozenset(range(1, self.r + 1))
-
-    def is_leaf(self, b: Bracket) -> bool:
-        return len(b) == 1
 
     def interior_vertices(self) -> list[Bracket]:
         """Non-leaf vertices, root first, in preorder."""
@@ -142,17 +136,6 @@ class StableTree:
 
     def in_degree(self, b: Bracket) -> int:
         return len(self.children(b))
-
-    def preorder_vertices(self) -> Iterator[Bracket]:
-        """All vertices in depth-first order, children by smallest leaf."""
-        return iter(self._built()[2])
-
-    def path_to_root(self, b: Bracket) -> list[Bracket]:
-        """Vertices from b (inclusive) up to the root (inclusive)."""
-        out = [b]
-        while out[-1] != self.root:
-            out.append(self.parent(out[-1]))
-        return out
 
     # -- comparisons / hashing ---------------------------------------
 

@@ -402,6 +402,8 @@ def test_transition_check_bytes_are_frozen(seed, fmt, capsys):
 
 DROP = object()
 
+CATERPILLAR = "[" * 1199 + "1" + "".join(f", {leaf}]" for leaf in range(2, 1201))
+
 
 def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
     """A copy of spec with spec[key], or spec[key][entry], set to value
@@ -567,11 +569,26 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             ),
             "slice child [2] of [1, 2, 3, 4] is not at 1",
         ),
+        # a spec nested deeper than json.load recurses, given as its text
+        # (json.dumps recurses too): a 1200-leaf caterpillar tree
+        pytest.param(
+            "chart-eval",
+            '{"curve": {"tree": %s, "positions": {}}, "glue": {}}' % CATERPILLAR,
+            "cannot read chart spec: maximum recursion depth exceeded",
+            id="chart-eval-caterpillar",
+        ),
+        pytest.param(
+            "transition-check",
+            '{"tree1": %s, "tree2": %s, "slices1": {}, "slices2": {}}'
+            % (CATERPILLAR, CATERPILLAR),
+            "cannot read transition spec: maximum recursion depth exceeded",
+            id="transition-check-caterpillar",
+        ),
     ],
 )
 def test_malformed_specs_are_errors(command, spec, error, tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     assert run([command, str(path)]) == 1
     out, err = out_of(capsys)
     assert out == ""

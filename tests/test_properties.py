@@ -1,13 +1,12 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
 the Kronecker ring's decoding and division, the bounded ring against its two
 components, the closed-form screen distribution against its hierarchies, vpp
-symmetry, the JSON round trip of strata, the lattice checks against sympy's
-normal forms, the stored tree structure against bracket scans, and chart
-evaluation against the symbolic gluing polynomials."""
+symmetry, the lattice checks against sympy's normal forms, the stored tree
+structure against bracket scans, and chart evaluation against the symbolic
+gluing polynomials."""
 
 import importlib
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 import pytest
@@ -35,7 +34,6 @@ from linestrata.exact_poly import (
     multi_eval,
 )
 from linestrata.local_models import lattice_is_saturated, lattice_span_equal
-from linestrata.tree_pairs import TreePair, enumerate_tree_pairs
 from linestrata.trees import StableTree, glue_tree
 from linestrata.vpp import stratum_counts, vpp, vpp_fiber_product
 
@@ -200,47 +198,6 @@ def test_vpp_invariant_under_line_permutation(n, rng):
         assert stratum_counts(shuffled) == stratum_counts(n)
 
 
-@cache
-def _strata(n):
-    return enumerate_tree_pairs(n)
-
-
-def _shuffled_screen(comp: dict, rng) -> dict:
-    """The JSON screen with its lines, seams and children shuffled at every
-    level."""
-    seams = []
-    for seam in comp["seams"]:
-        children = [
-            child if "mark" in child else _shuffled_screen(child, rng)
-            for child in seam["children"]
-        ]
-        rng.shuffle(children)
-        lines = list(seam["lines"])
-        rng.shuffle(lines)
-        seams.append({"lines": lines, "children": children})
-    rng.shuffle(seams)
-    lines = list(comp["lines"])
-    rng.shuffle(lines)
-    return {"lines": lines, "seams": seams}
-
-
-marked_types = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
-    lambda n: any(n) and sum(n) + len(n) <= 6
-).map(tuple)
-
-
-@settings(max_examples=100, deadline=None)
-@given(marked_types, st.integers(0, 10**6), st.randoms(use_true_random=False))
-def test_tree_pair_json_round_trip_ignores_order(n, pick, rng):
-    strata = _strata(n)
-    tp = strata[pick % len(strata)]
-    data = tp.to_json()
-    data["bubble_tree"] = _shuffled_screen(data["bubble_tree"], rng)
-    parsed = TreePair.from_json(data)
-    assert parsed == tp
-    assert parsed.canonical_key() == tp.canonical_key()
-
-
 def _sympy_span_equal(a, b) -> bool:
     a = [row for row in a if any(row)]
     b = [row for row in b if any(row)]
@@ -351,7 +308,6 @@ def _scanned_meet(tree, u, v):
 @given(laminar_trees())
 def test_tree_structure_matches_bracket_scans(tree):
     preorder = _scanned_preorder(tree)
-    assert list(tree.preorder_vertices()) == preorder
     assert sorted(preorder, key=sorted) == sorted(tree.brackets, key=sorted)
     interior = tree.interior_vertices()
     assert interior == [b for b in preorder if len(b) >= 2]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,42 +175,6 @@ def test_enumeration_contains_top_and_respects_dimension():
             validate_tree_pair(tp)
 
 
-def test_json_round_trip():
-    for n in [(2, 0), (1, 1, 0)]:
-        for tp in enumerate_tree_pairs(n):
-            assert TreePair.from_json(tp.to_json()) == tp
-
-
-def _reversed_bubble_tree(comp: dict) -> dict:
-    """The JSON screen with every seam list and child list reversed."""
-    return {
-        "lines": comp["lines"],
-        "seams": [
-            {
-                "lines": seam["lines"],
-                "children": [
-                    child if "mark" in child else _reversed_bubble_tree(child)
-                    for child in reversed(seam["children"])
-                ],
-            }
-            for seam in reversed(comp["seams"])
-        ],
-    }
-
-
-def test_from_json_stores_canonical_order():
-    reordered = 0
-    for n in [(2, 1), (1, 1, 1), (3, 0)]:
-        for tp in enumerate_tree_pairs(n):
-            data = tp.to_json()
-            data["bubble_tree"] = _reversed_bubble_tree(data["bubble_tree"])
-            reordered += data != tp.to_json()
-            parsed = TreePair.from_json(data)
-            assert parsed == tp, n
-            assert parsed.canonical_key() == tp.canonical_key(), n
-    assert reordered > 0
-
-
 def test_bracketing_round_trip():
     for n in [(2, 0), (1, 1), (2, 1), (1, 1, 0)]:
         for tp in enumerate_tree_pairs(n):
@@ -330,30 +295,103 @@ def test_glue_is_order_embedding_with_interval_image():
             assert set(images.values()) == interval, n
 
 
-def test_component_structure_validation():
-    # a mark sitting on a seam of the wrong line is rejected
-    bad_root = Component(
-        lines=fz({1, 2}),
-        seams=(
-            Seam(lines=fz({1}), children=(Mark(2, 1),)),
-            Seam(lines=fz({2}), children=()),
+def _screen(lines, *seams):
+    """A screen over lines, with one seam per (lines, children) pair."""
+    return Component(fz(lines), tuple(Seam(fz(l), tuple(c)) for l, c in seams))
+
+
+# one malformed stratum per message of validate_tree_pair, built directly;
+# "has no seam-tree vertex" has none, because a screen's lines are the root's
+# or a seam's, and seams are checked against the seam tree first
+MALFORMED = [
+    (
+        TreePair((1, 1), top_tree(3), top_tree_pair((1, 1)).root),
+        "seam tree and mark vector disagree on the line count",
+    ),
+    (
+        TreePair((1, 1), top_tree(2), _screen({1}, ({1}, [Mark(1, 1)]))),
+        "root screen must carry every line",
+    ),
+    (TreePair((1,), top_tree(1), _screen({1})), "screen with no seams"),
+    (
+        TreePair((1, 1), top_tree(2), _screen({1, 2}, ({1}, [Mark(1, 1)]))),
+        "single screen over [1, 2] has seam over [1]",
+    ),
+    (
+        TreePair((2,), top_tree(1), _screen({1}, ({1}, [Mark(1, 1)]))),
+        "carries 1 object(s); needs at least 2",
+    ),
+    (
+        TreePair(
+            (2, 0), top_tree(2), _screen({1, 2}, ({1, 2}, [Mark(1, 1), Mark(1, 2)]))
         ),
-    )
-    with pytest.raises(ValueError):
-        validate_tree_pair(TreePair((0, 1), top_tree(2), bad_root))
-    # duplicate mark
-    dup_root = Component(
-        lines=fz({1}),
-        seams=(Seam(lines=fz({1}), children=(Mark(1, 1), Mark(1, 1))),),
-    )
-    with pytest.raises(ValueError):
-        validate_tree_pair(TreePair((2,), top_tree(1), dup_root))
-    # a screen with no seams, read from JSON, is rejected by validation
-    # after the children are put in canonical order
-    bare = top_tree_pair((1, 1)).to_json()
-    bare["bubble_tree"]["seams"][0]["children"].append({"lines": [1], "seams": []})
-    with pytest.raises(ValueError, match="screen with no seams"):
-        TreePair.from_json(bare)
+        "misplaced on a seam over [1, 2]",
+    ),
+    (
+        # a single screen's child screen over other lines
+        TreePair(
+            (2, 2),
+            top_tree(2),
+            _screen(
+                {1, 2},
+                (
+                    {1, 2},
+                    [
+                        _screen({1}, ({1}, [Mark(1, 1), Mark(1, 2)])),
+                        _screen({2}, ({2}, [Mark(2, 1), Mark(2, 2)])),
+                    ],
+                ),
+            ),
+        ),
+        "must carry",
+    ),
+    (
+        TreePair((1,), top_tree(1), _screen({1}, ({1}, [Mark(1, 1)]), ({1}, []))),
+        "multi screen over a single line",
+    ),
+    (
+        TreePair(
+            (1, 1, 1),
+            top_tree(3),
+            _screen({1, 2, 3}, ({1, 2}, []), ({3}, [Mark(3, 1)])),
+        ),
+        "does not match the seam-tree branching",
+    ),
+    (
+        TreePair((1, 0), top_tree(2), _screen({1, 2}, ({1}, []), ({2}, []))),
+        "multi screen over [1, 2] carries no object",
+    ),
+    (
+        TreePair((0, 1), top_tree(2), _screen({1, 2}, ({1}, [Mark(2, 1)]), ({2}, []))),
+        "misplaced on a seam over [1]",
+    ),
+    (
+        TreePair(
+            (1, 2),
+            top_tree(2),
+            _screen(
+                {1, 2},
+                ({1}, [_screen({2}, ({2}, [Mark(2, 1), Mark(2, 2)]))]),
+                ({2}, [Mark(1, 1)]),
+            ),
+        ),
+        "screen under a seam must carry exactly the seam's lines",
+    ),
+    (
+        TreePair((2,), top_tree(1), _screen({1}, ({1}, [Mark(1, 1), Mark(1, 1)]))),
+        "duplicate marks",
+    ),
+    (
+        TreePair((2,), top_tree(1), _screen({1}, ({1}, [Mark(1, 1), Mark(1, 3)]))),
+        "do not census",
+    ),
+]
+
+
+@pytest.mark.parametrize("tp, message", MALFORMED, ids=[m for _, m in MALFORMED])
+def test_component_structure_validation(tp, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_tree_pair(tp)
 
 
 def test_dimension_keyword_matches_the_filtered_enumeration():
