@@ -16,13 +16,14 @@ tree — no screen covers them.
 Enumeration makes the choices of the VPP recursion (:mod:`linestrata.vpp`),
 read from a screen over several lines down.  Each factor presents its marks
 as a set partition into k screens under a fusion tree, one of the stable
-trees on k leaves, whose interior vertices are single screens over all the
-lines; the presentation does not depend on how the lines separate.  The
-lines then separate into a partition of at least two parts, shared by every
-screen, and each screen picks one row, an entry per part: over a single line
-the seam children of its marks there, over a fat part a set partition of its
-marks there into sub-screen groups.  The groups over a fat part, pooled
-across all screens, are the factors of one smaller fiber over the part.
+trees on k leaves of :func:`~linestrata.trees.hierarchies`, whose interior
+vertices are single screens over all the lines; the presentation does not
+depend on how the lines separate.  The lines then separate into a partition
+of at least two parts, shared by every screen, and each screen picks one
+row, an entry per part: over a single line the seam children of its marks
+there, over a fat part a set partition of its marks there into sub-screen
+groups.  The groups over a fat part, pooled across all screens, are the
+factors of one smaller fiber over the part.
 
 Strata are alternatively encoded as bracketings: the seam tree's laminar
 family plus, for every screen, the pair (line set, set of marks below it).
@@ -40,7 +41,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._combi import set_partitions, set_partitions_at_least
-from .trees import Bracket, StableTree, enumerate_stable_trees, top_tree, tree_dimension
+from .trees import (
+    Bracket, Nested, StableTree, enumerate_stable_trees, hierarchies, top_tree,
+    tree_dimension,
+)
 
 __all__ = [
     "Mark",
@@ -226,10 +230,6 @@ def validate_tree_pair(tp: TreePair) -> None:
         else:
             if len(comp.lines) < 2:
                 raise ValueError("multi screen over a single line")
-            if comp.lines not in tp.seam_tree.brackets:
-                raise ValueError(
-                    f"multi screen over {sorted(comp.lines)} has no seam-tree vertex"
-                )
             parts = set(tp.seam_tree.children(comp.lines))
             seam_lines = [seam.lines for seam in comp.seams]
             if len(seam_lines) != len(parts) or set(seam_lines) != parts:
@@ -304,25 +304,16 @@ def top_tree_pair(n: Sequence[int]) -> TreePair:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _fusion_trees(k: int) -> tuple[StableTree, ...]:
-    """The stable trees on k screens, shared by every call."""
-    return tuple(enumerate_stable_trees(k))
-
-
 def _fuse(
-    tree: StableTree, screens: Sequence[Component | Mark], lines: frozenset[int]
+    tree: Nested, screens: Sequence[Component | Mark], lines: frozenset[int]
 ) -> Component | Mark:
-    """Screens fused under a stable tree, leaf i being screens[i - 1], with
-    one single screen per interior vertex; a one-leaf tree gives its leaf."""
-
-    def build(vertex: Bracket) -> Component | Mark:
-        if len(vertex) == 1:
-            return screens[min(vertex) - 1]
-        kids = _sorted_children(build(child) for child in tree.children(vertex))
-        return Component(lines, (Seam(lines, kids),))
-
-    return build(tree.root)
+    """Screens fused under a stable tree in nested form, leaf i being
+    screens[i - 1], with one single screen per interior vertex; a leaf
+    gives its screen."""
+    if isinstance(tree, int):
+        return screens[tree - 1]
+    kids = _sorted_children(_fuse(child, screens, lines) for child in tree)
+    return Component(lines, (Seam(lines, kids),))
 
 
 def _line_children(
@@ -333,7 +324,7 @@ def _line_children(
     lines = frozenset({line})
     for clusters in set_partitions(marks):
         options = [
-            [_fuse(tree, cluster, lines) for tree in _fusion_trees(len(cluster))]
+            [_fuse(tree, cluster, lines) for tree in hierarchies(len(cluster))]
             for cluster in clusters
         ]
         for combo in product(*options):
@@ -387,21 +378,18 @@ def _enum_fiber(
         raise ValueError("a factor with no marks cannot cover a line")
     full = frozenset(lines)
     if len(lines) == 1:
-        # reached only by a type (m,), once per enumeration (sub-fibers are
-        # over fat parts), so its fusion trees are not kept
         (marks,) = factors
         if len(marks) == 1:
             return ((frozenset(), (Component(full, (Seam(full, marks),)),)),)
         return tuple(
-            (frozenset(), (_fuse(tree, marks, full),))
-            for tree in enumerate_stable_trees(len(marks))
+            (frozenset(), (_fuse(tree, marks, full),)) for tree in hierarchies(len(marks))
         )
 
     presentations = [
         [
             (tuple(map(tuple, screens)), tree)
             for screens in set_partitions(marks)
-            for tree in _fusion_trees(len(screens))
+            for tree in hierarchies(len(screens))
         ]
         for marks in factors
     ]

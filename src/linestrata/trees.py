@@ -8,12 +8,15 @@ the required elements is a valid tree.
 
 Trees serialize as nested lists ([1, [2, 3]] is the tree where leaves 2 and 3
 share a vertex); children are ordered by smallest leaf everywhere, making the
-nested form canonical.
+nested form canonical.  :func:`hierarchies` lists every tree on k leaves in
+the same form, as nested tuples.
 """
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from functools import lru_cache
+from itertools import product
+from typing import Iterable, Mapping, Union
 
 from ._combi import set_partitions_at_least
 
@@ -22,12 +25,16 @@ __all__ = [
     "Bracket",
     "top_tree",
     "enumerate_stable_trees",
+    "hierarchies",
     "poset_leq_tree",
     "glue_tree",
     "tree_dimension",
 ]
 
 Bracket = frozenset[int]
+# a stable tree in nested form: a leaf is its number, an interior vertex the
+# tuple of its children, ordered by smallest leaf
+Nested = Union[int, tuple["Nested", ...]]
 
 
 def _check_laminar(brackets: Iterable[Bracket]) -> None:
@@ -164,7 +171,7 @@ class StableTree:
         brackets: set[Bracket] = set()
 
         def walk(node: object) -> Bracket:
-            if isinstance(node, int):
+            if isinstance(node, int) and not isinstance(node, bool):
                 return frozenset({node})
             if not isinstance(node, (list, tuple)):
                 raise ValueError(f"bad tree node {node!r}")
@@ -235,32 +242,29 @@ def glue_tree(tree: StableTree, assignment: Mapping[Bracket, int]) -> StableTree
     return StableTree(tree.r, tree.brackets - removed)
 
 
+@lru_cache(maxsize=None)
+def _hierarchies_on(leaves: tuple[int, ...]) -> tuple[Nested, ...]:
+    """Every stable tree on the given ascending leaves, in nested form; a
+    subtree over a leaf subset is the same object in every tree above it."""
+    if len(leaves) == 1:
+        return leaves
+    out: list[Nested] = []
+    for parts in set_partitions_at_least(leaves, 2):
+        # blocks come ascending, so sorting them orders children by smallest leaf
+        out.extend(product(*(_hierarchies_on(tuple(p)) for p in sorted(parts))))
+    return tuple(out)
+
+
+def hierarchies(k: int) -> tuple[Nested, ...]:
+    """Every stable tree on leaves {1..k} in nested form, shared by every
+    call: the hierarchies of fused levels above k screens (none for k < 1)."""
+    return _hierarchies_on(tuple(range(1, k + 1)))
+
+
 def enumerate_stable_trees(r: int) -> list[StableTree]:
     """All stable trees on leaves {1..r}, deterministic order."""
     if r < 1:
         raise ValueError("r must be at least 1")
-
-    cache: dict[Bracket, list[frozenset[Bracket]]] = {}
-
-    def families(leafset: Bracket) -> list[frozenset[Bracket]]:
-        """All interior-bracket families of trees on the given leaf set."""
-        if len(leafset) == 1:
-            return [frozenset()]
-        got = cache.get(leafset)
-        if got is not None:
-            return got
-        out: list[frozenset[Bracket]] = []
-        items = sorted(leafset)
-        for parts in set_partitions_at_least(items, 2):
-            options = [families(frozenset(p)) for p in parts]
-            picks: list[frozenset[Bracket]] = [frozenset()]
-            for opt in options:
-                picks = [acc | extra for acc in picks for extra in opt]
-            out.extend(pick | {leafset} for pick in picks)
-        cache[leafset] = out
-        return out
-
-    full = frozenset(range(1, r + 1))
-    trees = [StableTree(r, fam) for fam in families(full)]
+    trees = [StableTree.from_nested(nested, r) for nested in hierarchies(r)]
     trees.sort(key=lambda t: sorted(sorted(b) for b in t.brackets))
     return trees

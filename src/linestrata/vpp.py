@@ -113,16 +113,15 @@ hierarchies above its k screens, so the bijection still holds there.
 :func:`~linestrata.tree_pairs.enumerate_tree_pairs` lists the same terms:
 its ``_enum_fiber`` makes the same choices level by level, and takes the
 hierarchies above a factor's k screens from
-:func:`~linestrata.trees.enumerate_stable_trees`, so each stratum it builds
-is one term here.  A term's weight is its stratum's polynomial
-(``stratum_vpp``), a product of open configuration spaces: monic of degree
-the stratum's dimension, since ``config(l, k)`` is monic of degree l,
-``qconfig(m)`` of degree m - 2, and each screen division lowers the degree
-by one.  Sending each primitive to
-t^degree therefore sends each term to t^dimension, and the whole sum to the
-generating function of the f-vector.  Each term weighs at least 1 in the
-bound ring, so N also bounds every stratum count, and with t = 2^K the
-counts are the digits of the result.
+:func:`~linestrata.trees.hierarchies`, so each stratum it builds is one term
+here.  A term's weight is its stratum's polynomial (``stratum_vpp``), a
+product of open configuration spaces: monic of degree the stratum's
+dimension, since ``config(l, k)`` is monic of degree l, ``qconfig(m)`` of
+degree m - 2, and each screen division lowers the degree by one.  Sending
+each primitive to t^degree therefore sends each term to t^dimension, and the
+whole sum to the generating function of the f-vector.  Each term weighs at
+least 1 in the bound ring, so N also bounds every stratum count, and with
+t = 2^K the counts are the digits of the result.
 """
 from __future__ import annotations
 

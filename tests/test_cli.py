@@ -569,6 +569,21 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             ),
             "slice child [2] of [1, 2, 3, 4] is not at 1",
         ),
+        # a JSON boolean is not a leaf number, though Python counts it an int
+        (
+            "chart-eval",
+            {"curve": {"tree": [True, 2, 3], "positions": {"1-2-3": [0, 1, 2]}}, "glue": {}},
+            "bad tree node True",
+        ),
+        (
+            "transition-check",
+            _with(
+                json.loads(TRANSITION_8.read_text()),
+                "tree1",
+                [[[[[[[True, 2], 3], 4], 5], 6], 7], 8],
+            ),
+            "bad tree node True",
+        ),
         # a spec nested deeper than json.load recurses, given as its text
         # (json.dumps recurses too): a 1200-leaf caterpillar tree
         pytest.param(

@@ -137,6 +137,22 @@ def test_dimension_is_computed_once_per_stratum(monkeypatch):
     assert len(calls) == sum(F_VECTORS[(2, 1)])
 
 
+@pytest.mark.parametrize("n", [(5,), (3, 2)], ids=["5", "3,2"])
+def test_enumeration_builds_a_stable_tree_only_per_seam_tree(monkeypatch, n):
+    # the fused levels above a factor's screens come from trees.hierarchies
+    # as nested tuples, so the one StableTree of a stratum is its seam tree
+    built = []
+    init = StableTree.__init__
+
+    def counting(self, r, brackets):
+        built.append(r)
+        init(self, r, brackets)
+
+    monkeypatch.setattr(StableTree, "__init__", counting)
+    strata = enumerate_tree_pairs(n)
+    assert strata and built == [len(n)] * len(strata)
+
+
 def test_codimension_one_counts():
     """Number of one-step degenerations of the open stratum."""
     expected = {
@@ -300,9 +316,7 @@ def _screen(lines, *seams):
     return Component(fz(lines), tuple(Seam(fz(l), tuple(c)) for l, c in seams))
 
 
-# one malformed stratum per message of validate_tree_pair, built directly;
-# "has no seam-tree vertex" has none, because a screen's lines are the root's
-# or a seam's, and seams are checked against the seam tree first
+# one malformed stratum per message of validate_tree_pair, built directly
 MALFORMED = [
     (
         TreePair((1, 1), top_tree(3), top_tree_pair((1, 1)).root),
@@ -390,6 +404,7 @@ MALFORMED = [
 
 @pytest.mark.parametrize("tp, message", MALFORMED, ids=[m for _, m in MALFORMED])
 def test_component_structure_validation(tp, message):
+    """The cases reach every message of validate_tree_pair."""
     with pytest.raises(ValueError, match=re.escape(message)):
         validate_tree_pair(tp)
 

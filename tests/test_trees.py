@@ -8,6 +8,7 @@ from linestrata.trees import (
     StableTree,
     enumerate_stable_trees,
     glue_tree,
+    hierarchies,
     poset_leq_tree,
     top_tree,
     tree_dimension,
@@ -82,6 +83,19 @@ def test_enumeration_counts():
 
 def test_enumeration_count_r6():
     assert len(enumerate_stable_trees(6)) == 2752
+
+
+def test_hierarchies_are_every_stable_tree_once():
+    # Schroeder's fourth problem (OEIS A000311) counts the stable trees;
+    # valid and pairwise distinct trees that many are all of them, with no
+    # appeal to enumerate_stable_trees
+    for k, count in zip(range(1, 7), [1, 1, 4, 26, 236, 2752]):
+        trees = [StableTree.from_nested(nested, k) for nested in hierarchies(k)]
+        assert len(trees) == count
+        assert len({tree.brackets for tree in trees}) == count
+    assert hierarchies(3) == ((1, (2, 3)), ((1, 2), 3), ((1, 3), 2), (1, 2, 3))
+    assert hierarchies(1) == (1,)
+    assert hierarchies(6) is hierarchies(6)
 
 
 def test_poset_order():
