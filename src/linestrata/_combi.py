@@ -1,6 +1,7 @@
 """Small combinatorial generators shared across modules."""
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 from operator import sub
@@ -34,46 +35,56 @@ def set_partitions_at_least(items: Sequence[T], min_blocks: int) -> Iterator[lis
             yield part
 
 
-def vector_partitions(v: Vector) -> Iterator[tuple[tuple[Vector, ...], int]]:
+@lru_cache(maxsize=None)
+def vector_partitions(v: Vector) -> tuple[tuple[tuple[Vector, ...], int], ...]:
     """Partitions of a count vector, each with its labelled multiplicity.
 
     Take v[i] distinguishable marks of colour i.  Every set partition of
-    those marks has a multiset of block count vectors; this yields each such
+    those marks has a multiset of block count vectors; this lists each such
     multiset once, as a non-increasing tuple of nonzero blocks, paired with
     the number of set partitions that have it:
 
         prod_i v_i! / (prod_blocks prod_i b_i! * prod_distinct blocks mult!)
 
     The multiplicities sum to the Bell number of sum(v).  The zero vector
-    has the single empty partition, with multiplicity 1.  Callers cache
-    what they compute from the partitions, so the partitions themselves are
-    not cached.
+    has the single empty partition, with multiplicity 1.  The result is
+    memoised, so v must be a tuple.
     """
-    v = tuple(v)
-    numerator = prod(factorial(c) for c in v)
+    numerator = _factorials(v)
+    out = []
     for blocks in _blocks_at_most(v, v):
-        denominator = prod(factorial(c) for b in blocks for c in b)
-        run = 1
-        for prev, cur in zip(blocks, blocks[1:]):
+        denominator = run = 1
+        for prev, cur in zip((None,) + blocks, blocks):
             run = run + 1 if cur == prev else 1
-            denominator *= run
+            denominator *= _factorials(cur) * run
         mult, rem = divmod(numerator, denominator)
         if rem:
             raise ValueError(
                 f"multiplicity of {blocks} in {v} is not an integer"
             )
-        yield blocks, mult
+        out.append((blocks, mult))
+    return tuple(out)
 
 
-def _blocks_at_most(v: Vector, bound: Vector) -> Iterator[tuple[Vector, ...]]:
-    """Non-increasing tuples of nonzero blocks summing to v, each <= bound."""
+@lru_cache(maxsize=None)
+def _factorials(b: Vector) -> int:
+    """prod_i b_i!"""
+    return prod(map(factorial, b))
+
+
+@lru_cache(maxsize=None)
+def _blocks_at_most(v: Vector, bound: Vector) -> tuple[tuple[Vector, ...], ...]:
+    """Non-increasing tuples of nonzero blocks summing to v, each <= bound.
+
+    Memoised, so that partitions sharing a remainder and a bound share
+    their tails."""
     if not any(v):
-        yield ()
-        return
-    for block in _first_blocks(v, bound):
-        rest = tuple(map(sub, v, block))
-        for tail in _blocks_at_most(rest, block):
-            yield (block,) + tail
+        return ((),)
+    return tuple(
+        (block,) + tail
+        for block in _first_blocks(v, bound)
+        for tail in _blocks_at_most(tuple(map(sub, v, block)), block)
+    )
 
 
 def _first_blocks(v: Vector, bound: Vector) -> list[Vector]:
@@ -87,7 +98,8 @@ def _first_blocks(v: Vector, bound: Vector) -> list[Vector]:
     previous block, whose first nonzero entry is at j or before: if before,
     every such b is below it; if at j, b is compared entry by entry.
     """
-    j = next(i for i, c in enumerate(v) if c)
+    # the first nonzero entry's value first occurs at its own index
+    j = v.index(next(filter(None, v)))
     zeros, w = v[:j], v[j:]
     ranges = [range(c, -1, -1) for c in w]
     if any(bound[:j]):

@@ -128,6 +128,17 @@ class StableCurve:
             )
         self.positions = cleaned
 
+    @classmethod
+    def _checked(
+        cls, tree: StableTree, positions: dict[Bracket, tuple[Fraction, ...]]
+    ) -> "StableCurve":
+        """A curve from positions its caller built in the form __post_init__
+        leaves them in, and checked: one screen per interior vertex, keyed by
+        the vertex, of distinct Fractions in the vertex's child order."""
+        curve = cls.__new__(cls)
+        curve.tree, curve.positions, curve._glued = tree, positions, {}
+        return curve
+
     def to_json(self) -> dict:
         return {
             "tree": self.tree.to_nested(),
@@ -326,11 +337,16 @@ def evaluate_chart(
     if new_tree is None:
         pattern = {v: int(v in contracted) for v in values}
         new_tree = curve._glued[contracted] = glue_tree(tree, pattern)
+    # a surviving vertex's children are distinct on its screen: leaves under
+    # two of them lie under distinct children of their deepest common
+    # vertex, which this vertex reaches through melted vertices only, and
+    # were found apart there; melting maps a screen in by x -> p + b x with
+    # b != 0, and a surviving child sits where all of its leaves do (b = 0)
     positions = {
         rho: tuple(Fraction(*seen[rho][child]) for child in new_tree.children(rho))
         for rho in new_tree.interior_vertices()
     }
-    return StableCurve(new_tree, positions)
+    return StableCurve._checked(new_tree, positions)
 
 
 def _pair(value: object) -> tuple[int, int]:

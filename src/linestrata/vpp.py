@@ -41,7 +41,8 @@ each computed once on representative lines and weighted by its
 multiplicity.  When all columns differ, these are the labelled set
 partitions, each of multiplicity 1.  Relabelling the lines permutes the
 columns and leaves the sum unchanged, so the screens are cached with their
-columns sorted, then their rows.
+columns sorted, then their rows; so are a fat part's screens, without those
+that hold no marks over the part, and the sub-screens it pools.
 
 A screen's division by q is taken from a single part: the one holding the
 screen's first marked line.  On that line, or over that fat part, the
@@ -60,9 +61,15 @@ prod_{i<l} (q - k - i) and ``qconfig(m)`` = prod_{j=2}^{m-1} (q - j), and
 divided by q once per screen.  The recursion therefore runs over any ring
 that supplies ``constant``, ``config``, ``qconfig`` and ``divide`` and has
 native ``+`` and ``*``; the ring is the first argument of every cached
-function, so each ring keeps its own caches.  :class:`IntRing` gives three
-rings with Python-int values.  Each sends a linear factor q - a to
-``radix - slope * a`` and divides a screen out by ``radix``:
+function, so each ring keeps its own caches.  A ring also evaluates sums of
+products, ``sum_of_products(terms, values)`` = sum of mult * prod_i
+values[i] over the terms (indices, mult): each of the recursion's hot sums
+(over the line partitions of ``_all_root`` and over the pooled screens and
+sub-screens of ``_fiber_sum`` and ``_fat_part``) is one such call, so a ring
+can evaluate it without building a value per operation.
+:class:`IntRing` gives three rings with Python-int values, and evaluates a
+sum of products in native int arithmetic.  Each sends a linear factor q - a
+to ``radix - slope * a`` and divides a screen out by ``radix``:
 
 * the Kronecker ring (slope 1, radix B = 2^K) evaluates every polynomial at
   q = B, so each product or sum is one big-integer operation and dividing
@@ -73,7 +80,9 @@ rings with Python-int values.  Each sends a linear factor q - a to
   to t^degree and divides each screen out by t.
 
 The recursion runs once, in a :class:`BoundedRing`, whose values carry a
-bound-ring value next to a Kronecker or dimension-marker value.
+bound-ring value next to a Kronecker or dimension-marker value.  It
+evaluates a sum of products once on the bounds and once on the values, and
+builds one :class:`Bounded` per sum.
 
 Why one pass with the bound carried is safe.  The norm |P| = sum
 |coefficients| satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and a
@@ -125,9 +134,11 @@ t = 2^K the counts are the digits of the result.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterable, Sequence
+from math import prod
+from operator import mul
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._combi import Vector, vector_partitions
 # bound but never called: benchmarks/tracer.py counts the set partitions
@@ -188,6 +199,13 @@ class IntRing:
         if value & ((1 << shift) - 1):
             raise ValueError(f"weight {value} is not divisible by q^{screens}")
         return value >> shift
+
+    @staticmethod
+    def sum_of_products(terms: Sequence[tuple[Sequence[int], int]], values: Sequence[int]) -> int:
+        """The sum over the terms (indices, mult) of mult times the product
+        of values[i] for i in indices, in native int arithmetic."""
+        get = values.__getitem__
+        return sum(prod(map(get, indices), start=mult) for indices, mult in terms)
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +269,17 @@ class BoundedRing:
         if value.bound >> (self.ring.bits - 1):
             raise _RadixTooSmall(value.bound)
         return Bounded(value.bound, self.ring.divide(value.value, screens))
+
+    def sum_of_products(
+        self, terms: Sequence[tuple[Sequence[int], int]], values: Sequence[Bounded]
+    ) -> Bounded:
+        """:meth:`IntRing.sum_of_products` once on the bounds and once on
+        the values, as one :class:`Bounded`.  The multiplicities are
+        positive, so the sum taken on the bounds is the bound of the sum."""
+        return Bounded(
+            self.bound_ring.sum_of_products(terms, [v.bound for v in values]),
+            self.ring.sum_of_products(terms, [v.value for v in values]),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -380,17 +409,17 @@ def _point_factor(ring, c: int):
 @lru_cache(maxsize=None)
 def _fat_part(ring, m: int, subs: tuple[Vector, ...]):
     """Contribution of a part of m >= 2 lines across all screens, given
-    each screen's marks over the part, sorted.
+    each screen's marks over the part, sorted.  A screen without marks over
+    the part has one split, into no sub-screens, of weight config(0, 0) = 1,
+    so it may be left out.
 
     Each screen distributes its marks over the part into sub-screens at
     distinct heights (config(#sub-screens, 0)); the pooled sub-screens form
     a fiber product over the part's own collision moduli.
     """
     options = [_sub_screens(ring, sub) for sub in subs]
-    total = ring.constant(0)
-    for pooled, weight in _pool(options).items():
-        total = total + weight * _fiber(ring, m, pooled)
-    return total
+    # relabelling the part's lines leaves the fiber product unchanged
+    return _pool(ring, options, lambda pooled: _fiber(ring, m, _relabelled(pooled)))
 
 
 @lru_cache(maxsize=None)
@@ -402,39 +431,55 @@ def _sub_screens(ring, sub: Vector) -> tuple[tuple[tuple[Vector, ...], object], 
     )
 
 
-def _pool(options: Sequence[Sequence[tuple[tuple[Vector, ...], object]]]) -> dict:
-    """Sum over one weighted choice of vectors per entry of nonempty options.
+def _pool(
+    ring,
+    options: Sequence[Sequence[tuple[tuple[Vector, ...], object]]],
+    weigh: Callable[[tuple[Vector, ...]], object],
+):
+    """Sum over one weighted choice of vectors per entry of options.
 
-    A choice weighs the product of its entries' weights.  Choices that pool
-    to the same sorted multiset of vectors are added up, so the caller
-    multiplies each multiset's weight only once.
+    A choice weighs the product of its entries' weights and of
+    ``weigh(pooled)``, where pooled is the sorted multiset of its vectors;
+    weigh is called once per multiset, and the whole sum is one ring call.
+    With no options, the one empty choice gives ``weigh(())``.
     """
-    first, *rest = options
-    combos = list(first)
-    for choices in rest:
-        # extend each partial choice in turn, so partial products are shared
+    values = []
+    combos = [((), ())]
+    for choices in options:
+        start = len(values)
+        values.extend(w for _, w in choices)
+        # extend the partial choices one option at a time, so that each
+        # prefix is built once
         combos = [
-            (vectors + vs, weight * w)
-            for vectors, weight in combos
-            for vs, w in choices
+            (vectors + vs, indices + (i,))
+            for vectors, indices in combos
+            for i, (vs, _) in enumerate(choices, start)
         ]
-    pooled: dict = {}
-    for vectors, weight in combos:
+    slots: dict = {}
+    terms = []
+    for vectors, indices in combos:
         key = tuple(sorted(vectors))
-        pooled[key] = pooled[key] + weight if key in pooled else weight
-    return pooled
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(values)
+            values.append(weigh(key))
+        terms.append((indices + (slot,), 1))
+    return ring.sum_of_products(terms, values)
 
 
 def _part_factor(ring, columns: Sequence[Vector]):
     """Contribution of one part of the shared line partition, given the
     columns of its lines: each line's marks on every screen."""
     if len(columns) > 1:
-        # the factor sees only the screens' marks over the part, as a multiset
-        return _fat_part(ring, len(columns), tuple(sorted(zip(*columns))))
-    out = ring.constant(1)
-    for c in columns[0]:
-        out = out * _point_factor(ring, c)
-    return out
+        # the factor sees only the marked screens' marks over the part, as a
+        # multiset, and not the order of the part's lines: sort the columns,
+        # then the rows, and drop the rows of unmarked screens, so that
+        # relabelled parts share a cache entry
+        subs = tuple(sorted(filter(any, zip(*sorted(columns)))))
+        return _fat_part(ring, len(columns), subs)
+    # a screen without marks on the line contributes config(0, 0) = 1
+    factors = [_point_factor(ring, c) for c in columns[0] if c]
+    return reduce(mul, factors) if factors else ring.constant(1)
 
 
 @lru_cache(maxsize=None)
@@ -446,12 +491,13 @@ def _line_partitions(counts: Vector) -> tuple[tuple[tuple[int, ...], ...], tuple
     Lines are numbered type by type from 0, and a representative hands each
     type's lines to its parts in order.  With every count 1, these are the
     set partitions of the lines, each of multiplicity 1.  Returns the
-    distinct parts, and by number of parts k the representatives as tuples
-    of indices into those parts, with their multiplicities.
+    distinct parts, and the representatives as terms (indices, mult) of a
+    sum of products: the indices of its k parts into those parts, then the
+    slot len(parts) + k - 2, which holds the level's qconfig(k).
     """
     starts = [sum(counts[:j]) for j in range(len(counts))]
     index: dict[tuple[int, ...], int] = {}
-    by_size: dict[int, list] = {}
+    terms = []
     for blocks, mult in vector_partitions(counts):
         if len(blocks) < 2:
             continue
@@ -460,11 +506,15 @@ def _line_partitions(counts: Vector) -> tuple[tuple[tuple[int, ...], ...], tuple
         for block in blocks:
             part: list[int] = []
             for j, c in enumerate(block):
-                part.extend(range(taken[j], taken[j] + c))
-                taken[j] += c
+                if c:
+                    start = taken[j]
+                    part += range(start, start + c)
+                    taken[j] = start + c
             parts.append(index.setdefault(tuple(part), len(index)))
-        by_size.setdefault(len(blocks), []).append((tuple(parts), mult))
-    return tuple(index), tuple((k, tuple(terms)) for k, terms in sorted(by_size.items()))
+        terms.append((parts, len(blocks), mult))
+    return tuple(index), tuple(
+        ((*parts, len(index) + k - 2), mult) for parts, k, mult in terms
+    )
 
 
 @lru_cache(maxsize=None)
@@ -475,28 +525,21 @@ def _all_root(ring, r: int, screens: tuple[Vector, ...]):
     partitions of the column-type counts, on representative lines.
     """
     columns = sorted(zip(*screens))
-    parts, levels = _line_partitions(tuple(len(list(run)) for _, run in groupby(columns)))
+    parts, terms = _line_partitions(tuple(len(list(run)) for _, run in groupby(columns)))
     # a screen's q of reparametrizations divides the factor of the part that
     # holds its first marked line: the screen puts a config(l >= 1, 0) there
     heads = [0] * r
     for row in zip(*columns):
-        heads[next(i for i, c in enumerate(row) if c)] += 1
+        # the first nonzero entry's value first occurs at its own index
+        heads[row.index(next(filter(None, row)))] += 1
     # a part's factor does not depend on the rest of the partition
-    factors = []
+    values = []
     for part in parts:
         factor = _part_factor(ring, [columns[i] for i in part])
-        screens_here = sum(heads[i] for i in part)
-        factors.append(ring.divide(factor, screens_here) if screens_here else factor)
-    total = ring.constant(0)
-    for k, terms in levels:
-        level = ring.constant(0)
-        for indices, mult in terms:
-            term = ring.constant(mult)
-            for i in indices:
-                term = term * factors[i]
-            level = level + term
-        total = total + ring.qconfig(k) * level
-    return total
+        screens_here = sum(map(heads.__getitem__, part))
+        values.append(ring.divide(factor, screens_here) if screens_here else factor)
+    values.extend(ring.qconfig(k) for k in range(2, r + 1))
+    return ring.sum_of_products(terms, values)
 
 
 @lru_cache(maxsize=None)
@@ -516,17 +559,21 @@ def _fiber(ring, r: int, factors: tuple[Vector, ...]):
 def _fiber_sum(ring, r: int, factors: tuple[Vector, ...]):
     """The fiber product of nonempty factors over r >= 2 lines, summed over
     the pooled screen multisets the factors present to the root."""
-    pooled = _pool([_screen_distribution(ring, f) for f in factors])
     # relabelling the lines leaves _all_root unchanged: sort the columns,
     # then the screens, so that relabelled multisets share a cache entry
-    weights: dict = {}
-    for screens, weight in pooled.items():
-        key = tuple(sorted(zip(*sorted(zip(*screens)))))
-        weights[key] = weights[key] + weight if key in weights else weight
-    total = ring.constant(0)
-    for screens, weight in weights.items():
-        total = total + weight * _all_root(ring, r, screens)
-    return total
+    return _pool(
+        ring,
+        [_screen_distribution(ring, f) for f in factors],
+        lambda screens: _all_root(ring, r, _relabelled(screens)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _relabelled(vectors: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """vectors with their columns sorted, then the vectors themselves: a
+    key that relabelling the lines does not change.  Cached, since the
+    pools of different fibers meet the same multisets again."""
+    return tuple(sorted(zip(*sorted(zip(*vectors)))))
 
 
 def vpp_fiber_product(r: int, factors: Iterable[Sequence[int]]) -> UniPoly:

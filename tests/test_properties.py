@@ -1,16 +1,16 @@
 """Property tests: count-vector partitions, UniPoly and MultiPoly ring laws,
-the Kronecker ring's decoding and division, the bounded ring against its two
-components, the closed-form screen distribution against its hierarchies, vpp
-symmetry, the lattice checks against sympy's normal forms, the stored tree
-structure against bracket scans, and chart evaluation against the symbolic
-gluing polynomials."""
+the Kronecker ring's decoding and division, the bounded ring and its sums of
+products against its two components, the closed-form screen distribution
+against its hierarchies, vpp symmetry, the lattice checks against sympy's
+normal forms, the stored tree structure against bracket scans, and chart
+evaluation against the symbolic gluing polynomials."""
 
 import importlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
@@ -64,7 +64,9 @@ def test_vector_partitions_match_labelled_set_partitions(v):
             )
         )
         counts[blocks] = counts.get(blocks, 0) + 1
-    partitions = list(vector_partitions(v))
+    partitions = vector_partitions(v)
+    # memoised: a second call returns an equal tuple
+    assert isinstance(partitions, tuple) and vector_partitions(v) == partitions
     # each block multiset once, non-increasing, with its labelled count
     assert dict(partitions) == counts
     assert len(partitions) == len(counts)
@@ -78,8 +80,11 @@ def test_vector_partitions_rejects_inexact_multiplicity(monkeypatch):
     # (1,) split into two copies of (1,) is no partition of one mark; its
     # multiplicity 1! / (1! * 1! * 2!) is not an integer
     monkeypatch.setattr(_combi, "_blocks_at_most", lambda v, bound: iter([((1,), (1,))]))
+    # the memo may hold (1,) already: clear it, so that the patched
+    # generator is read and the multiplicity computed again
+    vector_partitions.cache_clear()
     with pytest.raises(ValueError, match="not an integer"):
-        list(vector_partitions((1,)))
+        vector_partitions((1,))
 
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=7)
@@ -140,6 +145,43 @@ def test_bounded_ring_carries_both_rings(job, slope):
     both = vpp_module._fiber(vpp_module._bounded_ring(64, slope), *job)
     assert both.bound == vpp_module._fiber(vpp_module._int_ring(0, -1), *job)
     assert both.value == vpp_module._fiber(vpp_module._int_ring(64, slope), *job)
+
+
+@st.composite
+def sums_of_products(draw):
+    """Terms (indices, mult) over n values, with bounds and values of up to
+    70 bits: mults up to 6, one to four factors a term, any number of
+    terms."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    terms = draw(
+        st.lists(st.tuples(st.lists(index, min_size=1, max_size=4).map(tuple), st.integers(1, 6)))
+    )
+    bounds = draw(st.lists(st.integers(0, 2**70), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n))
+    return terms, bounds, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums_of_products(), st.sampled_from([1, 0]))
+@example(([], [3], [5]), 1)
+@example(([((0,), 1), ((1,), 4)], [2, 3], [-7, 11]), 1)
+@example(([((0, 1, 1), 6), ((1, 0), 1)], [2, 3], [5, -2]), 0)
+def test_sum_of_products_matches_the_naive_loop(case, slope):
+    # the bounded ring's one call gives what the bound ring and the value
+    # ring give on their own, and an integer ring's native sum is the loop
+    terms, bounds, values = case
+    naive = 0
+    for indices, mult in terms:
+        term = mult
+        for i in indices:
+            term = term * values[i]
+        naive = naive + term
+    ring = vpp_module._bounded_ring(64, slope)
+    assert ring.ring.sum_of_products(terms, values) == naive
+    both = ring.sum_of_products(terms, [vpp_module.Bounded(b, v) for b, v in zip(bounds, values)])
+    assert both.bound == ring.bound_ring.sum_of_products(terms, bounds)
+    assert both.value == ring.ring.sum_of_products(terms, values)
 
 
 marked_vectors = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(

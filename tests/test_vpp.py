@@ -8,7 +8,7 @@ import hashlib
 import importlib
 import random
 from functools import cache, reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 from operator import mul
 
@@ -52,6 +52,15 @@ class PolyRing:
     def divide(self, value, screens):
         return value.shift_down(2 * screens)
 
+    def sum_of_products(self, terms, values):
+        total = UniPoly.zero()
+        for indices, mult in terms:
+            term = UniPoly.constant(mult)
+            for i in indices:
+                term = term * values[i]
+            total = total + term
+        return total
+
 
 POLY = PolyRing()
 # the reference, bound, Kronecker and dimension-marker rings
@@ -61,6 +70,9 @@ RINGS = [
     vpp_module._int_ring(64, 1),
     vpp_module._int_ring(64, 0),
 ]
+# the Kronecker and dimension-marker rings, each with its bound carried
+BOUNDED_RINGS = [vpp_module._bounded_ring(64, 1), vpp_module._bounded_ring(64, 0)]
+RING_IDS = ["poly", "bound", "kronecker", "dimension", "bounded-kronecker", "bounded-dimension"]
 
 # dimension-2 types (coeffs ascending)
 TABLE_D2 = {
@@ -331,24 +343,19 @@ def test_line_partitions_cover_the_set_partitions():
     for r in range(1, 7):
         bell = sum(1 for _ in set_partitions(range(r)))
         for counts in _compositions(r):
-            parts, levels = vpp_module._line_partitions(counts)
+            parts, terms = vpp_module._line_partitions(counts)
             total = 0
-            for k, terms in levels:
-                assert k >= 2
-                for indices, mult in terms:
-                    assert len(indices) == k
-                    lines = sorted(line for i in indices for line in parts[i])
-                    assert lines == list(range(r)), (counts, indices)
-                    total += mult
+            for (*indices, level), mult in terms:
+                # after the k parts comes the slot of qconfig(k)
+                assert level - len(parts) + 2 == len(indices) >= 2
+                lines = sorted(line for i in indices for line in parts[i])
+                assert lines == list(range(r)), (counts, indices)
+                total += mult
             assert total == bell - 1, counts
         # with every column distinct, the representatives are the labelled
         # set partitions themselves
-        parts, levels = vpp_module._line_partitions((1,) * r)
-        typed = sorted(
-            (sorted(parts[i] for i in indices), mult)
-            for _, terms in levels
-            for indices, mult in terms
-        )
+        parts, terms = vpp_module._line_partitions((1,) * r)
+        typed = sorted((sorted(parts[i] for i in indices[:-1]), mult) for indices, mult in terms)
         labelled = sorted(
             (sorted(map(tuple, blocks)), 1)
             for blocks in set_partitions(range(r))
@@ -369,8 +376,9 @@ def _hierarchy_distribution(ring, v):
             continue
         weight = ring.constant(mult) * ring.qconfig(len(blocks))
         options = [_hierarchy_distribution(ring, b) for b in blocks]
-        for screens, w in vpp_module._pool(options).items():
-            term = weight * w
+        for choice in product(*options):
+            screens = tuple(sorted(s for group, _ in choice for s in group))
+            term = reduce(mul, (w for _, w in choice), weight)
             out[screens] = out[screens] + term if screens in out else term
     return tuple(sorted(out.items(), key=lambda kv: kv[0]))
 
@@ -380,13 +388,7 @@ def _comparable(distribution):
     return [(key, _weight(w)) for key, w in distribution]
 
 
-@pytest.mark.parametrize(
-    "ring",
-    RINGS + [vpp_module._bounded_ring(64, 1), vpp_module._bounded_ring(64, 0)],
-    ids=[
-        "poly", "bound", "kronecker", "dimension", "bounded-kronecker", "bounded-dimension"
-    ],
-)
+@pytest.mark.parametrize("ring", RINGS + BOUNDED_RINGS, ids=RING_IDS)
 def test_screen_distribution_closed_form(ring):
     # the hierarchies over k labelled screens are the trees _seam(k) sums, so
     # the closed form regroups the same products in every ring
@@ -398,6 +400,25 @@ def test_screen_distribution_closed_form(ring):
                 assert _comparable(closed) == _comparable(oracle), v
     with pytest.raises(ValueError, match="carries no marks"):
         vpp_module._screen_distribution(ring, (0, 0))
+
+
+@pytest.mark.parametrize("ring", RINGS + BOUNDED_RINGS, ids=RING_IDS)
+def test_relabelled_fat_parts_share_a_cache_entry(ring):
+    # three lines' marks on four screens, the third screen without marks
+    # over them: the factor sees neither the order of the lines nor the
+    # unmarked screen, so every order of the columns is one _fat_part entry
+    columns = [(2, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 0)]
+    _clear_caches()
+    weight = _weight(vpp_module._part_factor(ring, columns))
+    misses = vpp_module._fat_part.cache_info().misses
+    orders = list(permutations(columns))
+    for order in orders:
+        assert _weight(vpp_module._part_factor(ring, list(order))) == weight, order
+    assert vpp_module._fat_part.cache_info().misses == misses
+    # the labelled factor, each screen's marks in the lines' order, agrees
+    for order in orders:
+        labelled = tuple(sorted(zip(*order)))
+        assert _weight(vpp_module._fat_part(ring, len(order), labelled)) == weight, order
 
 
 def test_seam_polynomial_sums_the_stable_trees():
