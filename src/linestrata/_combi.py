@@ -76,42 +76,19 @@ def _factorials(b: Vector) -> int:
 def _blocks_at_most(v: Vector, bound: Vector) -> tuple[tuple[Vector, ...], ...]:
     """Non-increasing tuples of nonzero blocks summing to v, each <= bound.
 
-    Memoised, so that partitions sharing a remainder and a bound share
-    their tails."""
+    The first block runs over every b <= v entrywise, in decreasing
+    lexicographic order, that is <= bound and takes a mark of v's first
+    nonzero entry j: later blocks are no larger, so they never reach an
+    earlier entry than the first block does.  The rest of v, split into
+    single marks, completes every such b.  Memoised, so that partitions
+    sharing a remainder and a bound share their tails."""
     if not any(v):
         return ((),)
-    return tuple(
-        (block,) + tail
-        for block in _first_blocks(v, bound)
-        for tail in _blocks_at_most(tuple(map(sub, v, block)), block)
-    )
-
-
-def _first_blocks(v: Vector, bound: Vector) -> list[Vector]:
-    """The blocks that can open a non-increasing tuple summing to v: every
-    b <= v entrywise and <= bound in lexicographic order that takes a mark
-    of v's first nonzero entry, in decreasing lexicographic order.
-
-    Later blocks are no larger, so they never reach an earlier entry than
-    the first block does; a first block that leaves marks of v's first
-    nonzero entry j could never be completed.  The bound is v itself or the
-    previous block, whose first nonzero entry is at j or before: if before,
-    every such b is below it; if at j, b is compared entry by entry.
-    """
     # the first nonzero entry's value first occurs at its own index
     j = v.index(next(filter(None, v)))
-    zeros, w = v[:j], v[j:]
-    ranges = [range(c, -1, -1) for c in w]
-    if any(bound[:j]):
-        ranges[0] = range(w[0], 0, -1)
-        return [zeros + t for t in product(*ranges)]
-    # b = bound itself, then by the first entry k (last first) where b
-    # falls below the bound; up to k, b must stay within v
-    u = bound[j:]
-    fits = next((k for k, (a, c) in enumerate(zip(u, w)) if a > c), len(w))
-    out = [zeros + u] if fits == len(w) else []
-    for k in range(min(fits, len(w) - 1), -1, -1):
-        head = zeros + u[:k]
-        for x in range(min(w[k], u[k] - 1), 0 if k == 0 else -1, -1):
-            out.extend(head + (x,) + t for t in product(*ranges[k + 1 :]))
-    return out
+    return tuple(
+        (block,) + tail
+        for block in product(*(range(c, -1, -1) for c in v))
+        if block[j] and block <= bound
+        for tail in _blocks_at_most(tuple(map(sub, v, block)), block)
+    )

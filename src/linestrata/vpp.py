@@ -79,35 +79,33 @@ to ``radix - slope * a`` and divides a screen out by ``radix``:
 * the dimension-marker ring (slope 0, radix t = 2^K) sends each primitive
   to t^degree and divides each screen out by t.
 
-The recursion runs once, in a :class:`BoundedRing`, whose values carry a
-bound-ring value next to a Kronecker or dimension-marker value.  It
-evaluates a sum of products once on the bounds and once on the values, and
-builds one :class:`Bounded` per sum.
+The recursion runs in a :class:`BoundedRing`, whose values carry a
+bound-ring value next to a Kronecker or dimension-marker value, once and at
+most twice (see below).  It evaluates a sum of products once on the bounds
+and once on the values, and builds one :class:`Bounded` per sum.
 
-Why one pass with the bound carried is safe.  The norm |P| = sum
-|coefficients| satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and a
-division by q leaves it unchanged.  On each primitive it equals the
+Why at most two passes with the bound carried are safe.  The norm |P| =
+sum |coefficients| satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and
+a division by q leaves it unchanged.  On each primitive it equals the
 bound-ring value: the linear factors q - a have a >= 0, so the product's
 coefficients alternate in sign and |P| = |P(-1)| = prod (1 + a).  So the
 bound carried with every value is at least that value's norm.  With
 B = 2^K > 2N, where N bounds the coefficients of P, the coefficients are
 read back from P(B) as balanced base-B digits, and B^s divides P(B) exactly
 when q^s divides P: P(B) is congruent mod B^s to sum_{i<s} c_i B^i, whose
-absolute value is below B^s / 2.  So each division first checks its own
-carried bound against 2^(K-1), and only then the remainder, which raises
-on a nonzero remainder as a polynomial division would; a bound too large
-aborts the pass instead.  Every sub-expression enters a result through
-``+`` and through ``*`` by nonzero integer polynomials (bound >= 1), and
-all bounds are nonnegative, so bounds only grow on the way up: a result's
-bound N is at least every bound met below it, and a final N < 2^(K-1)
-certifies every division of the pass as well as the decoding.  The pass
-starts at K = 64.  When the final N is too large, it runs once more at the
-smallest multiple K of 64 with 2^(K-1) > N, which then certifies it.  When
-a division aborts, the final N is not known yet and may be larger still, so
-the pass runs again at that radix for the aborting bound or at 2K, whichever
-is larger.  So at most 2 + log2(K/64) passes run, K the radix that
-succeeds.  No input within the command-line size guards needs more than the
-first pass.
+absolute value is below B^s / 2.  So a division whose carried bound is
+below 2^(K-1) checks its remainder, and raises on a nonzero one as a
+polynomial division would; at or above it the remainder says nothing, and
+the division skips only that check.  Every sub-expression enters a result
+through ``+`` and through ``*`` by nonzero integer polynomials
+(bound >= 1), and all bounds are nonnegative, so bounds only grow on the
+way up: a result's bound N is at least every bound met below it, and a
+final N < 2^(K-1) certifies every division of the pass as well as the
+decoding.  The bounds are computed in the bound ring alone, so N does not
+depend on K.  The pass starts at K = 64; when its final N is too large, it
+runs once more at the smallest multiple K of 64 with 2^(K-1) > N, which
+certifies it.  No input within the command-line size guards needs more
+than the first pass.
 
 Why the dimension-marker ring counts strata.  Expand every sum of the
 recursion to its terms: one choice at every level of a partition (of marks
@@ -135,7 +133,7 @@ t = 2^K the counts are the digits of the result.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -230,21 +228,12 @@ class Bounded:
         return Bounded(self.bound * other.bound, self.value * other.value)
 
 
-class _RadixTooSmall(Exception):
-    """A division met a bound of at least half the radix."""
-
-    def __init__(self, bound: int):
-        super().__init__(bound)
-        self.bound = bound
-
-
 class BoundedRing:
     """An :class:`IntRing` run together with the bound ring.
 
-    Each division checks its carried bound before the remainder: a bound of
-    at least half the radix raises :class:`_RadixTooSmall`, since the
-    remainder check would no longer be exact.  Rings are interned by
-    :func:`_bounded_ring`.
+    A division checks its remainder only while the carried bound is below
+    half the radix: at or above it the remainder says nothing, and the pass
+    is not certified.  Rings are interned by :func:`_bounded_ring`.
     """
 
     __slots__ = ("ring", "bound_ring")
@@ -267,7 +256,8 @@ class BoundedRing:
     def divide(self, value: Bounded, screens: int) -> Bounded:
         """value / q**screens, which must be exact; the bound is kept."""
         if value.bound >> (self.ring.bits - 1):
-            raise _RadixTooSmall(value.bound)
+            # an uncertified pass: divide, and leave the check to the rerun
+            return Bounded(value.bound, value.value >> (self.ring.bits * screens))
         return Bounded(value.bound, self.ring.divide(value.value, screens))
 
     def sum_of_products(
@@ -311,24 +301,17 @@ def _evaluate(jobs: Sequence[tuple[int, tuple[Vector, ...]]], slope: int) -> lis
     given slope (1: polynomials, 0: stratum counts by dimension) at one radix
     wide enough for all of them, certified by the bounds carried along."""
     bits = _radix_bits(0)
-    while True:
+    for rerun in (False, True):
         ring = _bounded_ring(bits, slope)
-        aborted = False
-        try:
-            values = [_fiber(ring, r, factors) for r, factors in jobs]
-            bound = max(v.bound for v in values)
-        except _RadixTooSmall as exc:
-            bound, aborted = exc.bound, True
+        values = [_fiber(ring, r, factors) for r, factors in jobs]
+        # the bounds do not depend on the radix: N is exact in every pass
+        bound = max(v.bound for v in values)
         if not bound >> (bits - 1):
             return [_digits(v.value, bits) for v in values]
-        wider = _radix_bits(bound)
-        if wider <= bits:
-            # unreachable while _radix_bits(bound) has 2^(K-1) > bound: a
-            # guard against a radix that would never grow
-            raise ValueError(f"radix 2^{bits} is too small for coefficients up to {bound}")
-        # the final bound of an aborted pass is unknown: at least double the
-        # radix, so that the number of passes stays logarithmic in it
-        bits = max(wider, 2 * bits) if aborted else wider
+        if rerun:
+            break
+        bits = _radix_bits(bound)
+    raise ValueError(f"radix 2^{bits} is too small for coefficients up to {bound}")
 
 
 def _poly(coeffs: list[int]) -> UniPoly:
@@ -547,7 +530,7 @@ def _fiber(ring, r: int, factors: tuple[Vector, ...]):
     if r == 1:
         out = ring.constant(1)
         for f in factors:
-            out = out * _seam(ring, sum(f) if sum(f) >= 1 else 1)
+            out = out * _seam(ring, sum(f))
         return out
     if all(sum(f) == 1 for f in factors):
         # a single-mark factor is isomorphic to the base, so the fiber
@@ -624,20 +607,9 @@ def stratum_counts(n: Sequence[int]) -> list[int]:
 
 def _ascending_vectors(r: int, total: int) -> list[Vector]:
     """Weakly increasing r-tuples of nonnegative ints with the given sum."""
-    out: list[Vector] = []
-
-    def rec(prefix: tuple[int, ...], minimum: int, left: int) -> None:
-        if len(prefix) == r:
-            if left == 0:
-                out.append(prefix)
-            return
-        slots = r - len(prefix)
-        for c in range(minimum, left + 1):
-            if c * slots <= left:
-                rec(prefix + (c,), c, left - c)
-
-    rec((), 0, total)
-    return out
+    return [
+        v for v in combinations_with_replacement(range(total + 1), r) if sum(v) == total
+    ]
 
 
 def vpp_table(d: int) -> list[tuple[Vector, UniPoly]]:
@@ -649,12 +621,7 @@ def vpp_table(d: int) -> list[tuple[Vector, UniPoly]]:
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    types: list[Vector] = []
-    for r in range(1, d + 3):
-        total = d + 3 - r
-        if total < 1:
-            break
-        types.extend(_ascending_vectors(r, total))
+    types = [n for r in range(1, d + 3) for n in _ascending_vectors(r, d + 3 - r)]
     rows = _evaluate([_job(n) for n in types], 1)
     return [(n, _poly(coeffs)) for n, coeffs in zip(types, rows)]
 

@@ -53,6 +53,11 @@ count_vectors = st.lists(st.integers(0, 3), min_size=0, max_size=3).filter(
 
 @settings(max_examples=60, deadline=None)
 @given(count_vectors)
+# the strategy draws at most 3 entries: longer vectors, with zero entries
+# before and between the marks, exercise the first-block filter further
+@example((1, 1, 1, 1, 1))
+@example((2, 0, 1, 2))
+@example((0, 1, 0, 3))
 def test_vector_partitions_match_labelled_set_partitions(v):
     marks = [line for line, c in enumerate(v) for _ in range(c)]
     counts: dict[tuple, int] = {}

@@ -511,37 +511,32 @@ def _clear_caches():
 
 
 def test_undersized_first_radix_retries(monkeypatch):
-    # a first radix of 2^8 is too small for all three: the polynomial passes
-    # abort at a division, the count pass ends with too large a bound, and
-    # each runs again at the radix its bound asks for
+    # a first radix of 2^8 is too small for all three: each pass ends with
+    # too large a bound and runs again at the radix its bound asks for
     expected = (vpp((2, 2, 2, 2)), vpp_table(5), stratum_counts((2, 2)))
     radix_bits = vpp_module._radix_bits
     monkeypatch.setattr(
         vpp_module, "_radix_bits", lambda bound: 8 if bound == 0 else radix_bits(bound)
     )
-    aborted_slopes = []
-    divide = vpp_module.BoundedRing.divide
-
-    def recording_divide(ring, value, screens):
-        try:
-            return divide(ring, value, screens)
-        except vpp_module._RadixTooSmall:
-            aborted_slopes.append(ring.ring.slope)
-            raise
-
-    monkeypatch.setattr(vpp_module.BoundedRing, "divide", recording_divide)
     _clear_caches()
     assert (vpp((2, 2, 2, 2)), vpp_table(5), stratum_counts((2, 2))) == expected
-    assert set(aborted_slopes) == {1}
     # rings of 2^8 and 2^64 for both slopes
     assert vpp_module._bounded_ring.cache_info().currsize == 4
 
 
-def test_aborted_passes_double_the_radix(monkeypatch):
-    # with the tightest radix for each bound, starting at 2^1, every aborted
-    # pass at least doubles K: at most 2 + log2(K_last / K_first) passes
-    expected = vpp((2, 2, 2, 2))
-    monkeypatch.setattr(vpp_module, "_radix_bits", lambda bound: bound.bit_length() + 1)
+@pytest.mark.parametrize("first", [1, 8, 64])
+def test_every_evaluation_takes_at_most_two_passes(monkeypatch, first):
+    # the carried bounds come from the bound ring alone, so the first pass
+    # ends with the final N at any radix, and a second pass, at
+    # _radix_bits(N), is certified
+    jobs = [vpp_module._job(n) for n in [(2, 2, 2, 2), (1, 2, 3), (0, 1, 1, 2)]]
+    expected = {slope: vpp_module._evaluate(jobs, slope) for slope in (1, 0)}
+    bound_ring = vpp_module._int_ring(0, -1)
+    bound = max(vpp_module._fiber(bound_ring, r, factors) for r, factors in jobs)
+    radix_bits = vpp_module._radix_bits
+    monkeypatch.setattr(
+        vpp_module, "_radix_bits", lambda b: first if b == 0 else radix_bits(b)
+    )
     passes = []
     bounded_ring = vpp_module._bounded_ring
 
@@ -550,11 +545,30 @@ def test_aborted_passes_double_the_radix(monkeypatch):
         return bounded_ring(bits, slope)
 
     monkeypatch.setattr(vpp_module, "_bounded_ring", recording)
-    _clear_caches()
-    assert vpp((2, 2, 2, 2)) == expected
-    assert passes[0] == 1
-    assert all(b >= 2 * a for a, b in zip(passes, passes[1:-1]))
-    assert len(passes) <= 2 + passes[-1].bit_length() - 1
+    for slope in (1, 0):
+        passes.clear()
+        assert vpp_module._evaluate(jobs, slope) == expected[slope]
+        assert passes == ([first] if bound < 2 ** (first - 1) else [first, radix_bits(bound)])
+
+
+def test_inexact_division_skipped_in_an_uncertified_pass_raises(monkeypatch):
+    # at a first radix of 2^1 every bound reaches half the radix, so the
+    # skewed ring's inexact divisions skip their remainder check; the second
+    # pass, at the radix the bound asks for, checks them and raises
+    radix_bits = vpp_module._radix_bits
+    monkeypatch.setattr(
+        vpp_module, "_radix_bits", lambda bound: 1 if bound == 0 else radix_bits(bound)
+    )
+    passes = []
+
+    def skewed(bits, slope):
+        passes.append(bits)
+        return vpp_module.BoundedRing(_Skewed(bits, slope))
+
+    monkeypatch.setattr(vpp_module, "_bounded_ring", skewed)
+    with pytest.raises(ValueError, match="not divisible by q\\^"):
+        vpp((2, 2))
+    assert passes == [1, 64]
 
 
 @pytest.mark.parametrize("n", [(2, 2), (1, 2, 3)])
