@@ -49,8 +49,8 @@ _EXPORTS = {
         "invert_chart", "transition_check",
     ),
     "vpp": (
-        "vpp", "vpp_seam", "vpp_table", "stratum_counts", "stratum_vpp",
-        "vpp_by_strata",
+        "vpp", "vpp_seam", "vpp_fiber_product", "vpp_table", "stratum_counts",
+        "stratum_vpp", "vpp_by_strata",
     ),
 }
 

@@ -4,12 +4,40 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-from operator import sub
-from typing import Iterator, Sequence, TypeVar
+from operator import index, sub
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
 Vector = tuple[int, ...]
+
+
+def type_vector(n: Iterable[int], *, markless: bool = False) -> Vector:
+    """The type n, r >= 1 lines with n_i >= 0 marks on line i, as a tuple.
+
+    Raises ValueError on an empty vector, a negative entry, an entry that
+    is not an integer (a bool, float or string is refused, not truncated),
+    and, unless markless is true, a vector without marks.
+    """
+    entries = tuple(n)
+    for c in entries:
+        if isinstance(c, bool) or not hasattr(c, "__index__"):
+            raise ValueError(f"entry {c!r} of type {entries!r} is not an integer")
+    nt = tuple(map(index, entries))
+    if not nt:
+        raise ValueError("a type needs at least one line")
+    if any(c < 0 for c in nt):
+        raise ValueError(f"type {nt} has a negative entry")
+    if not (markless or any(nt)):
+        raise ValueError(f"type {nt} carries no marks; it needs at least one mark")
+    return nt
+
+
+def marks(n: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The marks of the type n as 1-based pairs (line, index), line by line."""
+    return tuple(
+        (line, i) for line, c in enumerate(type_vector(n), 1) for i in range(1, c + 1)
+    )
 
 
 def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:

@@ -40,7 +40,7 @@ from itertools import combinations, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from ._combi import set_partitions, set_partitions_at_least
+from ._combi import marks, set_partitions, set_partitions_at_least, type_vector
 from .trees import (
     Bracket, Nested, StableTree, enumerate_stable_trees, hierarchies, top_tree,
     tree_dimension,
@@ -208,7 +208,7 @@ def validate_tree_pair(tp: TreePair) -> None:
     full = frozenset(range(1, r + 1))
     if tp.root.lines != full:
         raise ValueError("root screen must carry every line")
-    expected_marks = {(i, j) for i in range(1, r + 1) for j in range(1, tp.n[i - 1] + 1)}
+    expected_marks = set(marks(tp.n))
     seen_marks: list[tuple[int, int]] = []
 
     def walk(comp: Component, is_root: bool) -> None:
@@ -278,23 +278,14 @@ def stratum_dimension(tp: TreePair) -> int:
 
 def top_tree_pair(n: Sequence[int]) -> TreePair:
     """The open stratum: one screen, marks straight on their lines."""
-    nt = tuple(int(c) for c in n)
-    r = len(nt)
-    if r < 1 or any(c < 0 for c in nt) or sum(nt) == 0:
-        raise ValueError(f"invalid mark vector {nt}")
-    marks_by_line = {
-        i: tuple(Mark(i, j) for j in range(1, nt[i - 1] + 1)) for i in range(1, r + 1)
-    }
-    if r == 1:
-        root = Component(
-            frozenset({1}), (Seam(frozenset({1}), marks_by_line[1]),)
-        )
-    else:
-        seams = tuple(
-            Seam(frozenset({i}), marks_by_line[i]) for i in range(1, r + 1)
-        )
-        root = Component(frozenset(range(1, r + 1)), seams)
-    tp = TreePair(nt, top_tree(r), root)
+    nt = type_vector(n)
+    lines = range(1, len(nt) + 1)
+    points = [Mark(*mark) for mark in marks(nt)]
+    # over a single line, the one seam carries the line's marks too
+    seams = tuple(
+        Seam(frozenset({i}), tuple(m for m in points if m.line == i)) for i in lines
+    )
+    tp = TreePair(nt, top_tree(len(nt)), Component(frozenset(lines), seams))
     validate_tree_pair(tp)
     return tp
 
@@ -432,18 +423,14 @@ def enumerate_tree_pairs(
     With a dimension, only the strata of that dimension, in the same order;
     the others are dropped before they are keyed, sorted or validated.
     """
-    nt = tuple(int(c) for c in n)
+    nt = type_vector(n)
     r = len(nt)
-    if r < 1 or any(c < 0 for c in nt):
-        raise ValueError(f"invalid mark vector {nt}")
-    if sum(nt) == 0:
-        raise ValueError("the mark vector must carry at least one mark")
     lines = tuple(range(1, r + 1))
-    marks = tuple(Mark(i, j) for i in lines for j in range(1, nt[i - 1] + 1))
+    points = tuple(Mark(*mark) for mark in marks(nt))
     keyed = []
     # uncached at the top: the cache keeps sub-fibers only, so the strata
     # die with the caller's list
-    for brackets, roots in _enum_fiber.__wrapped__(lines, (marks,)):
+    for brackets, roots in _enum_fiber.__wrapped__(lines, (points,)):
         tp = TreePair(nt, StableTree(r, brackets), roots[0])
         if dimension is None or tp.dimension == dimension:
             keyed.append((tp.sort_key(), tp))
@@ -479,12 +466,8 @@ TwoBracket = tuple[frozenset[int], frozenset[tuple[int, int]]]
 def tree_pair_to_two_bracketing(
     tp: TreePair,
 ) -> tuple[frozenset[Bracket], frozenset[TwoBracket]]:
-    two: set[TwoBracket] = set()
-    for i in range(1, tp.r + 1):
-        for j in range(1, tp.n[i - 1] + 1):
-            two.add((frozenset({i}), frozenset({(i, j)})))
-    for comp in tp.components():
-        two.add((comp.lines, comp.subtree_marks()))
+    two = {(frozenset({mark[0]}), frozenset({mark})) for mark in marks(tp.n)}
+    two.update((comp.lines, comp.subtree_marks()) for comp in tp.components())
     return tp.seam_tree.brackets, frozenset(two)
 
 
@@ -498,16 +481,19 @@ def two_bracketing_to_tree_pair(
     two_brackets: Iterable[TwoBracket],
 ) -> TreePair:
     """Rebuild the stratum from its bracketings; validates the result."""
-    nt = tuple(int(c) for c in n)
+    nt = type_vector(n)
     r = len(nt)
-    if nt == (1,):
-        return top_tree_pair(nt)
     tree = StableTree(r, one_brackets)
     tbs = set(two_brackets)
+    if nt == (1,):
+        # the root screen is the one mark's own 2-bracket, so there is
+        # nothing to build: the input must be the top stratum's
+        top = top_tree_pair(nt)
+        if (tree.brackets, frozenset(tbs)) != tree_pair_to_two_bracketing(top):
+            raise ValueError("bracketings of type (1,) other than the top stratum's")
+        return top
     full = frozenset(range(1, r + 1))
-    all_marks = frozenset(
-        (i, j) for i in range(1, r + 1) for j in range(1, nt[i - 1] + 1)
-    )
+    all_marks = frozenset(marks(nt))
     root_tb = (full, all_marks)
     if root_tb not in tbs:
         raise ValueError("missing root 2-bracket")
@@ -591,23 +577,11 @@ def enumerate_two_bracketings_bruteforce(
     another at its level keeps each of its marks inside some properly
     smaller same-level entry.
     """
-    nt = tuple(int(c) for c in n)
+    nt = type_vector(n)
     r = len(nt)
-    if r < 1 or any(c < 0 for c in nt):
-        raise ValueError("n must be a nonempty tuple of nonnegative counts")
-    if sum(nt) == 0:
-        raise ValueError("at least one mark is required")
-    all_marks = frozenset(
-        (i, j) for i in range(1, r + 1) for j in range(1, nt[i - 1] + 1)
-    )
-    full = frozenset(range(1, r + 1))
-    root_tb: TwoBracket = (full, all_marks)
-    singles: list[TwoBracket] = [
-        (frozenset({i}), frozenset({(i, j)}))
-        for i in range(1, r + 1)
-        for j in range(1, nt[i - 1] + 1)
-    ]
-    forced = {root_tb, *singles}
+    all_marks = frozenset(marks(nt))
+    root_tb: TwoBracket = (frozenset(range(1, r + 1)), all_marks)
+    forced = {root_tb, *((frozenset({mark[0]}), frozenset({mark})) for mark in all_marks)}
 
     results: list[tuple[frozenset[Bracket], frozenset[TwoBracket]]] = []
     for tree in enumerate_stable_trees(r):

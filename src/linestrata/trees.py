@@ -167,7 +167,7 @@ class StableTree:
         return build(self.root)
 
     @classmethod
-    def from_nested(cls, nested: object, r: int | None = None) -> "StableTree":
+    def from_nested(cls, nested: object) -> "StableTree":
         brackets: set[Bracket] = set()
 
         def walk(node: object) -> Bracket:
@@ -188,10 +188,10 @@ class StableTree:
 
         top = walk(nested)
         leaves = sorted(top)
-        rr = r if r is not None else (max(leaves) if leaves else 0)
-        if leaves != list(range(1, rr + 1)):
-            raise ValueError(f"leaves {leaves} are not 1..{rr}")
-        return cls(rr, brackets)
+        r = leaves[-1]
+        if leaves != list(range(1, r + 1)):
+            raise ValueError(f"leaves {leaves} are not 1..{r}")
+        return cls(r, brackets)
 
     def __str__(self) -> str:
         return json.dumps(self.to_nested(), separators=(",", ":"))
@@ -265,6 +265,6 @@ def enumerate_stable_trees(r: int) -> list[StableTree]:
     """All stable trees on leaves {1..r}, deterministic order."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    trees = [StableTree.from_nested(nested, r) for nested in hierarchies(r)]
+    trees = [StableTree.from_nested(nested) for nested in hierarchies(r)]
     trees.sort(key=lambda t: sorted(sorted(b) for b in t.brackets))
     return trees

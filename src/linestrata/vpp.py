@@ -89,23 +89,21 @@ sum |coefficients| satisfies |P + Q| <= |P| + |Q| and |PQ| <= |P| |Q|, and
 a division by q leaves it unchanged.  On each primitive it equals the
 bound-ring value: the linear factors q - a have a >= 0, so the product's
 coefficients alternate in sign and |P| = |P(-1)| = prod (1 + a).  So the
-bound carried with every value is at least that value's norm.  With
-B = 2^K > 2N, where N bounds the coefficients of P, the coefficients are
-read back from P(B) as balanced base-B digits, and B^s divides P(B) exactly
-when q^s divides P: P(B) is congruent mod B^s to sum_{i<s} c_i B^i, whose
-absolute value is below B^s / 2.  So a division whose carried bound is
-below 2^(K-1) checks its remainder, and raises on a nonzero one as a
-polynomial division would; at or above it the remainder says nothing, and
-the division skips only that check.  Every sub-expression enters a result
-through ``+`` and through ``*`` by nonzero integer polynomials
-(bound >= 1), and all bounds are nonnegative, so bounds only grow on the
-way up: a result's bound N is at least every bound met below it, and a
-final N < 2^(K-1) certifies every division of the pass as well as the
-decoding.  The bounds are computed in the bound ring alone, so N does not
-depend on K.  The pass starts at K = 64; when its final N is too large, it
-runs once more at the smallest multiple K of 64 with 2^(K-1) > N, which
-certifies it.  No input within the command-line size guards needs more
-than the first pass.
+bound carried with every value is at least that value's norm.  If q^s
+divides P, then B^s divides P(B) for every integer B, so every division
+checks its remainder, at any radix, and raises on a nonzero one.  With
+B = 2^K > 2N, where N bounds the coefficients of P, the converse holds
+too, and the coefficients are read back from P(B) as balanced base-B
+digits: P(B) is congruent mod B^s to sum_{i<s} c_i B^i, whose absolute
+value is below B^s / 2.  Every sub-expression enters a result through
+``+`` and through ``*`` by nonzero integer polynomials (bound >= 1), and
+all bounds are nonnegative, so bounds only grow on the way up: a final
+N < 2^(K-1) certifies every zero remainder of the pass and the decoding.
+The bounds come from the bound ring alone, so N does not depend on K.
+The pass starts at K = 64; when its final N is too large, it runs once
+more at the smallest multiple K of 64 with 2^(K-1) > N, which certifies
+it.  No input within the command-line size guards needs more than the
+first pass.
 
 Why the dimension-marker ring counts strata.  Expand every sum of the
 recursion to its terms: one choice at every level of a partition (of marks
@@ -138,7 +136,7 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ._combi import Vector, vector_partitions
+from ._combi import Vector, type_vector, vector_partitions
 # bound but never called: benchmarks/tracer.py counts the set partitions
 # taken by each module that binds this name, and the benchmark reports this
 # module's count, which is 0 since line partitions are summed by column type
@@ -231,9 +229,9 @@ class Bounded:
 class BoundedRing:
     """An :class:`IntRing` run together with the bound ring.
 
-    A division checks its remainder only while the carried bound is below
-    half the radix: at or above it the remainder says nothing, and the pass
-    is not certified.  Rings are interned by :func:`_bounded_ring`.
+    Every division checks its remainder; a zero remainder certifies an
+    exact division only while the carried bound is below half the radix.
+    Rings are interned by :func:`_bounded_ring`.
     """
 
     __slots__ = ("ring", "bound_ring")
@@ -255,9 +253,6 @@ class BoundedRing:
 
     def divide(self, value: Bounded, screens: int) -> Bounded:
         """value / q**screens, which must be exact; the bound is kept."""
-        if value.bound >> (self.ring.bits - 1):
-            # an uncertified pass: divide, and leave the check to the rerun
-            return Bounded(value.bound, value.value >> (self.ring.bits * screens))
         return Bounded(value.bound, self.ring.divide(value.value, screens))
 
     def sum_of_products(
@@ -348,15 +343,6 @@ def _seam(ring, r: int):
             term = term * _seam(ring, size)
         total = total + term
     return total
-
-
-def _validate_vector(v: Sequence[int], r: int) -> Vector:
-    out = tuple(int(c) for c in v)
-    if len(out) != r:
-        raise ValueError(f"count vector {out} does not have length {r}")
-    if any(c < 0 for c in out):
-        raise ValueError(f"count vector {out} has a negative entry")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -568,24 +554,19 @@ def vpp_fiber_product(r: int, factors: Iterable[Sequence[int]]) -> UniPoly:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    fs = tuple(_validate_vector(f, r) for f in factors)
+    fs = tuple(sorted(map(type_vector, factors)))
     for f in fs:
-        if sum(f) == 0:
-            raise ValueError(f"factor {f} carries no marks")
-    return _poly(_evaluate([(r, tuple(sorted(fs)))], 1)[0])
+        if len(f) != r:
+            raise ValueError(f"count vector {f} does not have length {r}")
+    return _poly(_evaluate([(r, fs)], 1)[0])
 
 
 def _job(n: Sequence[int]) -> tuple[int, tuple[Vector, ...]]:
-    """The fiber product (r, factors) of the space of type n."""
-    nt = tuple(int(c) for c in n)
-    if not nt:
-        raise ValueError("n must have at least one entry")
-    if any(c < 0 for c in nt):
-        raise ValueError(f"{nt} has a negative entry")
-    if sum(nt) == 0:
-        return len(nt), ()
+    """The fiber product (r, factors) of the space of type n, which may
+    carry no marks."""
+    nt = type_vector(n, markless=True)
     # relabeling the lines is an isomorphism, so sort for the cache
-    return len(nt), (tuple(sorted(nt)),)
+    return len(nt), (tuple(sorted(nt)),) if any(nt) else ()
 
 
 def vpp(n: Sequence[int]) -> UniPoly:
@@ -599,10 +580,7 @@ def stratum_counts(n: Sequence[int]) -> list[int]:
     The recursion in the dimension-marker ring; it equals
     :func:`~linestrata.tree_pairs.f_vector`, which enumerates the strata.
     """
-    r, factors = _job(n)
-    if not factors:
-        raise ValueError("the mark vector must carry at least one mark")
-    return _evaluate([(r, factors)], 0)[0]
+    return _evaluate([_job(type_vector(n))], 0)[0]
 
 
 def _ascending_vectors(r: int, total: int) -> list[Vector]:

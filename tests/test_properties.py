@@ -16,7 +16,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from linestrata import _combi
-from linestrata._combi import set_partitions, vector_partitions
+from linestrata._combi import marks, set_partitions, vector_partitions
 from linestrata.charts import (
     StableCurve,
     _b_variable,
@@ -192,6 +192,15 @@ def test_sum_of_products_matches_the_naive_loop(case, slope):
 marked_vectors = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
     lambda v: 1 <= sum(v) <= 6
 ).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any))
+def test_marks_list_each_mark_once_line_by_line(n):
+    listed = marks(n)
+    assert len(listed) == len(set(listed)) == sum(n)
+    assert list(listed) == sorted(listed)
+    assert all(1 <= j <= n[i - 1] for i, j in listed)
 
 
 @settings(max_examples=100, deadline=None)

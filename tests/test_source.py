@@ -1,12 +1,22 @@
-"""Invariants of the package source itself."""
+"""Invariants of the package source itself, and of the README's tour."""
 
 import ast
+import doctest
 import importlib
 from pathlib import Path
 
 import linestrata
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "linestrata"
+README = SOURCE.parents[1] / "README.md"
+
+
+def test_readme_tour_runs():
+    # the README's python block is a doctest session, as
+    # `python -m doctest README.md` runs it
+    failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
+    assert attempted >= 7
+    assert failed == 0
 
 
 def test_no_assert_statements():
@@ -40,7 +50,11 @@ def test_exports_resolve():
     # the package serves its names on access; dir() still lists them, and
     # the name vpp is the function, not its module
     assert set(linestrata.__all__) <= set(dir(linestrata))
-    assert linestrata.vpp is vars(importlib.import_module("linestrata.vpp"))["vpp"]
+    vpp_module = importlib.import_module("linestrata.vpp")
+    assert linestrata.vpp is vars(vpp_module)["vpp"]
+    # the package re-exports every public name of the vpp module
+    assert set(vpp_module.__all__) <= set(linestrata.__all__)
+    assert linestrata.vpp_fiber_product is vpp_module.vpp_fiber_product
 
 
 def _top_level_names(node: ast.stmt) -> list[str]:

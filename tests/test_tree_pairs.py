@@ -192,11 +192,26 @@ def test_enumeration_contains_top_and_respects_dimension():
 
 
 def test_bracketing_round_trip():
-    for n in [(2, 0), (1, 1), (2, 1), (1, 1, 0)]:
+    for n in [(1,), (2, 0), (1, 1), (2, 1), (1, 1, 0)]:
         for tp in enumerate_tree_pairs(n):
             one, two = tree_pair_to_two_bracketing(tp)
             rebuilt = two_bracketing_to_tree_pair(n, one, two)
             assert rebuilt == tp, n
+
+
+@pytest.mark.parametrize(
+    "one, two",
+    [
+        ([fz({1, 2})], [(fz({7}), fz({(9, 9)}))]),
+        ([], [(fz({1}), fz({(1, 2)}))]),
+        ([], []),
+    ],
+)
+def test_type_one_bracketings_must_be_the_top_stratum(one, two):
+    # the one mark's 2-bracket is the root's, so no screen is built from the
+    # input: it is compared with the top stratum's bracketing instead
+    with pytest.raises(ValueError):
+        two_bracketing_to_tree_pair((1,), one, two)
 
 
 def test_two_bracketing_bruteforce_matches_enumeration():

@@ -90,7 +90,8 @@ def test_hierarchies_are_every_stable_tree_once():
     # valid and pairwise distinct trees that many are all of them, with no
     # appeal to enumerate_stable_trees
     for k, count in zip(range(1, 7), [1, 1, 4, 26, 236, 2752]):
-        trees = [StableTree.from_nested(nested, k) for nested in hierarchies(k)]
+        trees = [StableTree.from_nested(nested) for nested in hierarchies(k)]
+        assert {tree.r for tree in trees} == {k}
         assert len(trees) == count
         assert len({tree.brackets for tree in trees}) == count
     assert hierarchies(3) == ((1, (2, 3)), ((1, 2), 3), ((1, 3), 2), (1, 2, 3))

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from linestrata._combi import set_partitions, vector_partitions
 from linestrata.cli import run
 from linestrata.exact_poly import UniPoly, config_poly, quotient_config_poly
-from linestrata.tree_pairs import enumerate_tree_pairs, f_vector
+from linestrata.tree_pairs import (
+    enumerate_tree_pairs,
+    enumerate_two_bracketings_bruteforce,
+    f_vector,
+    top_tree_pair,
+    two_bracketing_to_tree_pair,
+)
 from linestrata.trees import enumerate_stable_trees, tree_dimension
 from linestrata.vpp import (
     IntRing,
@@ -249,6 +255,31 @@ def test_vpp_fiber_product():
         vpp_fiber_product(2, [(1, 1, 1)])
     with pytest.raises(ValueError):
         vpp_fiber_product(0, [])
+
+
+@pytest.mark.parametrize("n", [(2.5,), (True, 2), ("2",), (), (-1, 2)], ids=repr)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        vpp,
+        stratum_counts,
+        lambda n: vpp_fiber_product(len(n), [n]),
+        enumerate_tree_pairs,
+        f_vector,
+        top_tree_pair,
+        lambda n: two_bracketing_to_tree_pair(n, [], []),
+        enumerate_two_bracketings_bruteforce,
+    ],
+    ids=[
+        "vpp", "stratum_counts", "vpp_fiber_product", "enumerate_tree_pairs",
+        "f_vector", "top_tree_pair", "two_bracketing_to_tree_pair",
+        "enumerate_two_bracketings_bruteforce",
+    ],
+)
+def test_entry_points_refuse_bad_types(entry, n):
+    # a non-integer entry is refused, not truncated to the type it rounds to
+    with pytest.raises(ValueError):
+        entry(n)
 
 
 def test_basis_shortcut_matches_full_recursion():
@@ -551,10 +582,9 @@ def test_every_evaluation_takes_at_most_two_passes(monkeypatch, first):
         assert passes == ([first] if bound < 2 ** (first - 1) else [first, radix_bits(bound)])
 
 
-def test_inexact_division_skipped_in_an_uncertified_pass_raises(monkeypatch):
-    # at a first radix of 2^1 every bound reaches half the radix, so the
-    # skewed ring's inexact divisions skip their remainder check; the second
-    # pass, at the radix the bound asks for, checks them and raises
+def test_inexact_division_raises_in_an_uncertified_pass(monkeypatch):
+    # at a first radix of 2^1 every bound reaches half the radix, so no zero
+    # remainder is certified; a nonzero one still raises, in the first pass
     radix_bits = vpp_module._radix_bits
     monkeypatch.setattr(
         vpp_module, "_radix_bits", lambda bound: 1 if bound == 0 else radix_bits(bound)
@@ -568,7 +598,7 @@ def test_inexact_division_skipped_in_an_uncertified_pass_raises(monkeypatch):
     monkeypatch.setattr(vpp_module, "_bounded_ring", skewed)
     with pytest.raises(ValueError, match="not divisible by q\\^"):
         vpp((2, 2))
-    assert passes == [1, 64]
+    assert passes == [1]
 
 
 @pytest.mark.parametrize("n", [(2, 2), (1, 2, 3)])
