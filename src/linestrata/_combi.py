@@ -12,6 +12,11 @@ T = TypeVar("T")
 Vector = tuple[int, ...]
 
 
+def _not_an_integer(value: object) -> bool:
+    """Whether value is a bool or has no __index__ (a float or a string)."""
+    return isinstance(value, bool) or not hasattr(value, "__index__")
+
+
 def type_vector(n: Iterable[int], *, markless: bool = False) -> Vector:
     """The type n, r >= 1 lines with n_i >= 0 marks on line i, as a tuple.
 
@@ -21,7 +26,7 @@ def type_vector(n: Iterable[int], *, markless: bool = False) -> Vector:
     """
     entries = tuple(n)
     for c in entries:
-        if isinstance(c, bool) or not hasattr(c, "__index__"):
+        if _not_an_integer(c):
             raise ValueError(f"entry {c!r} of type {entries!r} is not an integer")
     nt = tuple(map(index, entries))
     if not nt:
@@ -31,6 +36,17 @@ def type_vector(n: Iterable[int], *, markless: bool = False) -> Vector:
     if not (markless or any(nt)):
         raise ValueError(f"type {nt} carries no marks; it needs at least one mark")
     return nt
+
+
+def line_count(r: int) -> int:
+    """The line count r >= 1 as an int; raises ValueError, like
+    :func:`type_vector`, on a bool, float or string."""
+    if _not_an_integer(r):
+        raise ValueError(f"line count {r!r} is not an integer")
+    r = index(r)
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    return r
 
 
 def marks(n: Iterable[int]) -> tuple[tuple[int, int], ...]:

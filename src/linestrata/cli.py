@@ -122,15 +122,21 @@ def _refuses_type(n: tuple[int, ...], max_size: int | None, guard: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_counts(args: argparse.Namespace) -> int:
+    """enumerate and fvector: the stratum counts of the type, printed in
+    the command's layout."""
     from .vpp import stratum_counts
 
     n = args.n
     if _refuses_type(n, args.max_size, COUNT_GUARD):
         return 1
-    counts = stratum_counts(n)
+    args.layout(n, stratum_counts(n), args.format == "json")
+    return 0
+
+
+def _enumerate_layout(n: tuple[int, ...], counts: list[int], as_json: bool) -> None:
     by_dim = [(d, c) for d, c in enumerate(counts) if c]
-    if args.format == "json":
+    if as_json:
         _emit_json(
             {
                 "n": list(n),
@@ -141,21 +147,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         dims = ", ".join(f"{d}:{c}" for d, c in by_dim)
         print(f"{sum(counts)} strata: dims [{dims}]")
-    return 0
 
 
-def _cmd_fvector(args: argparse.Namespace) -> int:
-    from .vpp import stratum_counts
-
-    n = args.n
-    if _refuses_type(n, args.max_size, COUNT_GUARD):
-        return 1
-    counts = stratum_counts(n)
-    if args.format == "json":
+def _fvector_layout(n: tuple[int, ...], counts: list[int], as_json: bool) -> None:
+    if as_json:
         _emit_json({"n": list(n), "f_vector": list(counts)})
     else:
         print(list(counts))
-    return 0
 
 
 def _cmd_vpp(args: argparse.Namespace) -> int:
@@ -421,12 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count strata by dimension")
     p.add_argument("n", type=_vector, help="mark counts, e.g. 2,0")
     guarded(p)
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_counts, layout=_enumerate_layout)
 
     p = sub.add_parser("fvector", help="strata counts per dimension")
     p.add_argument("n", type=_vector)
     guarded(p)
-    p.set_defaults(func=_cmd_fvector)
+    p.set_defaults(func=_cmd_counts, layout=_fvector_layout)
 
     p = sub.add_parser("vpp", help="virtual Poincare polynomial")
     p.add_argument("n", type=_vector)

@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 from .tree_pairs import (
     Component,
     TreePair,
-    non_root_components,
-    non_root_interior,
     tree_pair_to_two_bracketing,
     two_bracketing_to_tree_pair,
 )
@@ -84,23 +82,17 @@ class LatticeModel:
 
 
 def lattice_coordinates(tp: TreePair) -> list[CoordKey]:
-    """Default coordinate keys: non-root screens in walk order, then
-    non-root interior seam brackets in walk order."""
-    coords: list[CoordKey] = [("comp", c) for c in non_root_components(tp)]
-    coords.extend(("seam", b) for b in non_root_interior(tp.seam_tree))
+    """The coordinate keys in column order: non-root screens in walk
+    order, then non-root interior seam brackets in preorder."""
+    return _coordinates(tp, _screen_walk(tp)[0])
+
+
+def _coordinates(tp: TreePair, screens: Sequence[Component]) -> list[CoordKey]:
+    """:func:`lattice_coordinates` from the screens of the walk."""
+    coords: list[CoordKey] = [("comp", c) for c in screens[1:]]
+    # the root comes first in preorder
+    coords.extend(("seam", b) for b in tp.seam_tree.interior_vertices()[1:])
     return coords
-
-
-def _default_names(coords: Sequence[CoordKey]) -> tuple[str, ...]:
-    names = []
-    comp_count = 0
-    for kind, payload in coords:
-        if kind == "comp":
-            comp_count += 1
-            names.append(f"a{comp_count}")
-        else:
-            names.append("b" + "-".join(str(line) for line in sorted(payload)))
-    return tuple(names)
 
 
 def _screen_walk(tp: TreePair):
@@ -172,39 +164,23 @@ def _seam_relation(
 
 def _lattice_model(
     tp: TreePair,
+    screens: Sequence[Component],
     relations: Iterable[tuple[Sequence[int], Sequence[int], frozenset | None]],
-    coordinates: Sequence[CoordKey] | None,
-    names: Sequence[str] | None,
 ) -> LatticeModel:
-    """Write relations given by walk index as rows over the coordinates.
+    """Write relations given by walk index as rows over the coordinates of
+    :func:`lattice_coordinates`: walk index i >= 1 is column i - 1, and the
+    seam brackets follow.
 
     A relation (plus, minus, seam) counts the screens in plus once each,
     those in minus minus once each, and the seam bracket, when there is
     one, once.
     """
-    default = lattice_coordinates(tp)
-    if coordinates is None:
-        coords = default
-        columns: Sequence[int] = range(len(default))
-    else:
-        coords = list(coordinates)
-        if len(coords) != len(default) or set(coords) != set(default):
-            raise ValueError(
-                "coordinates must be a permutation of lattice_coordinates(tree_pair)"
-            )
-        position = {key: i for i, key in enumerate(coords)}
-        columns = [position[key] for key in default]
-    if names is None:
-        name_tuple = _default_names(coords)
-    else:
-        name_tuple = tuple(names)
-        if len(name_tuple) != len(coords):
-            raise ValueError("names length does not match coordinate count")
-    k = sum(1 for kind, _ in default if kind == "comp")
+    coords = _coordinates(tp, screens)
+    k = len(screens) - 1
     # The root screen (walk index 0) has no column; None makes a root in a
     # relation fail instead of writing to another coordinate.
-    screen_col = [None, *columns[:k]]
-    seam_col = {bracket: c for (_, bracket), c in zip(default[k:], columns[k:])}
+    screen_col = [None, *range(k)]
+    seam_col = {bracket: c for c, (_, bracket) in enumerate(coords[k:], k)}
     rows = []
     for plus, minus, seam in relations:
         vec = [0] * len(coords)
@@ -215,19 +191,16 @@ def _lattice_model(
         if seam is not None:
             vec[seam_col[seam]] += 1
         rows.append(tuple(vec))
+    names = [f"a{i}" for i in range(1, k + 1)]
+    names.extend("b" + "-".join(map(str, sorted(b))) for b in seam_col)
     return LatticeModel(
-        names=name_tuple,
+        names=tuple(names),
         generators=tuple(rows),
-        seam_columns=frozenset(columns[k:]),
+        seam_columns=frozenset(seam_col.values()),
     )
 
 
-def canonical_generators(
-    tp: TreePair,
-    *,
-    coordinates: Sequence[CoordKey] | None = None,
-    names: Sequence[str] | None = None,
-) -> LatticeModel:
+def canonical_generators(tp: TreePair) -> LatticeModel:
     """Triangular generating set for the relation lattice, one generator per
     splitting screen except the last one over the root bracket.
 
@@ -239,7 +212,7 @@ def canonical_generators(
     coordinate against the path up to the first splitting screen above.
     Rows are emitted in reverse walk order of their owners.
     """
-    _, parent, split_above, groups = _screen_walk(tp)
+    screens, parent, split_above, groups = _screen_walk(tp)
     root_lines = frozenset(range(1, tp.r + 1))
     owned = []
     for bracket, group in groups.items():
@@ -254,15 +227,10 @@ def canonical_generators(
             alpha = group[-1]
             owned.append((alpha, _seam_relation(parent, split_above, alpha, bracket)))
     owned.sort(key=lambda item: -item[0])
-    return _lattice_model(tp, [rel for _, rel in owned], coordinates, names)
+    return _lattice_model(tp, screens, [rel for _, rel in owned])
 
 
-def coherence_generators(
-    tp: TreePair,
-    *,
-    coordinates: Sequence[CoordKey] | None = None,
-    names: Sequence[str] | None = None,
-) -> LatticeModel:
+def coherence_generators(tp: TreePair) -> LatticeModel:
     """All matching relations: a path difference for every pair of splitting
     screens over the same bracket, and a seam-versus-path relation for every
     splitting screen over a non-root bracket."""
@@ -279,7 +247,7 @@ def coherence_generators(
     for alpha, comp in enumerate(screens):
         if comp.is_multi and comp.lines != root_lines:
             relations.append(_seam_relation(parent, split_above, alpha, comp.lines))
-    return _lattice_model(tp, relations, coordinates, names)
+    return _lattice_model(tp, screens, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +425,29 @@ def glue_tree_pair(tp: TreePair, q: Sequence[int], r: Sequence[int]) -> TreePair
     r = 1 contract; (q, r) must be a 0/1 point of the relations of
     :func:`coherence_generators`."""
     model = coherence_generators(tp)
-    seams = non_root_interior(tp.seam_tree)
-    n_q = model.n_coords - len(seams)
+    coords = lattice_coordinates(tp)
+    n_r = len(model.seam_columns)
+    n_q = model.n_coords - n_r
     qt = tuple(int(v) for v in q)
     rt = tuple(int(v) for v in r)
     if len(qt) != n_q or any(v not in (0, 1) for v in qt):
         raise ValueError(f"q must be a 0/1 vector of length {n_q}")
-    if len(rt) != len(seams) or any(v not in (0, 1) for v in rt):
-        raise ValueError(f"r must be a 0/1 vector of length {len(seams)}")
+    if len(rt) != n_r or any(v not in (0, 1) for v in rt):
+        raise ValueError(f"r must be a 0/1 vector of length {n_r}")
     broken = _first_broken(_supports(model), qt + rt)
     if broken is not None:
         relation = model_defining_relations(model)[broken]
         raise ValueError(f"incoherent gluing data: breaks {relation}")
-    keep_one = {b for b, v in zip(seams, rt) if v == 0}
-    keep_one.add(tp.seam_tree.root)
-    keep_one.update(frozenset({i}) for i in range(1, tp.r + 1))
+    keep_one = {tp.seam_tree.root, *(frozenset({i}) for i in range(1, tp.r + 1))}
     # the marks' own 2-brackets survive, and so does every screen kept,
     # the root always
     _, two = tree_pair_to_two_bracketing(tp)
     surviving_two = {tb for tb in two if len(tb[0]) == 1 and len(tb[1]) == 1}
-    for comp, v in zip(tp.components(), (0, *qt)):
-        if v == 0:
-            surviving_two.add((comp.lines, comp.subtree_marks()))
+    for (kind, key), v in zip([("comp", tp.root), *coords], (0, *qt, *rt)):
+        if v == 0 and kind == "seam":
+            keep_one.add(key)
+        elif v == 0:
+            surviving_two.add((key.lines, key.subtree_marks()))
     return two_bracketing_to_tree_pair(tp.n, keep_one, surviving_two)
 
 

@@ -60,8 +60,6 @@ __all__ = [
     "two_bracketing_to_tree_pair",
     "enumerate_two_bracketings_bruteforce",
     "poset_leq_tree_pair",
-    "non_root_components",
-    "non_root_interior",
 ]
 
 
@@ -466,8 +464,10 @@ TwoBracket = tuple[frozenset[int], frozenset[tuple[int, int]]]
 def tree_pair_to_two_bracketing(
     tp: TreePair,
 ) -> tuple[frozenset[Bracket], frozenset[TwoBracket]]:
-    two = {(frozenset({mark[0]}), frozenset({mark})) for mark in marks(tp.n)}
-    two.update((comp.lines, comp.subtree_marks()) for comp in tp.components())
+    root_marks = tp.root.subtree_marks()
+    two = {(frozenset({mark[0]}), frozenset({mark})) for mark in root_marks}
+    two.add((tp.root.lines, root_marks))
+    two.update((comp.lines, comp.subtree_marks()) for comp in tp.components()[1:])
     return tp.seam_tree.brackets, frozenset(two)
 
 
@@ -668,15 +668,3 @@ def poset_leq_tree_pair(tp1: TreePair, tp2: TreePair) -> bool:
     one2, two2 = tree_pair_to_two_bracketing(tp2)
     return one1 >= one2 and two1 >= two2
 
-
-# ---------------------------------------------------------------------------
-# the coordinates of a stratum's neighbourhood
-# ---------------------------------------------------------------------------
-
-
-def non_root_components(tp: TreePair) -> list[Component]:
-    return tp.components()[1:]
-
-
-def non_root_interior(tree: StableTree) -> list[Bracket]:
-    return [b for b in tree.interior_vertices() if b != tree.root]

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from ._combi import set_partitions_at_least
+from ._combi import line_count, set_partitions_at_least
 
 __all__ = [
     "StableTree",
@@ -89,8 +89,7 @@ class StableTree:
     __slots__ = ("r", "brackets", "_structure")
 
     def __init__(self, r: int, brackets: Iterable[Bracket]):
-        if r < 1:
-            raise ValueError("r must be at least 1")
+        r = line_count(r)
         self.r = r
         full = frozenset(range(1, r + 1))
         bs = {frozenset(b) for b in brackets}
@@ -263,8 +262,7 @@ def hierarchies(k: int) -> tuple[Nested, ...]:
 
 def enumerate_stable_trees(r: int) -> list[StableTree]:
     """All stable trees on leaves {1..r}, deterministic order."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    r = line_count(r)
     trees = [StableTree.from_nested(nested) for nested in hierarchies(r)]
     trees.sort(key=lambda t: sorted(sorted(b) for b in t.brackets))
     return trees

@@ -136,7 +136,7 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ._combi import Vector, type_vector, vector_partitions
+from ._combi import Vector, line_count, type_vector, vector_partitions
 # bound but never called: benchmarks/tracer.py counts the set partitions
 # taken by each module that binds this name, and the benchmark reports this
 # module's count, which is 0 since line partitions are summed by column type
@@ -316,7 +316,7 @@ def _poly(coeffs: list[int]) -> UniPoly:
     return UniPoly([c for q_coeff in coeffs for c in (q_coeff, 0)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is refused, not read as 1
 def vpp_seam(r: int) -> UniPoly:
     """Polynomial of the compactified moduli of r collapsing lines.
 
@@ -324,9 +324,7 @@ def vpp_seam(r: int) -> UniPoly:
     least two groups at distinct positions, each group recursively carrying
     its own collapsed moduli.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    return _poly(_evaluate([(r, ())], 1)[0])
+    return _poly(_evaluate([(line_count(r), ())], 1)[0])
 
 
 @lru_cache(maxsize=None)
@@ -552,8 +550,7 @@ def vpp_fiber_product(r: int, factors: Iterable[Sequence[int]]) -> UniPoly:
     carries on each line; factors must carry at least one mark.  An empty
     factor list gives the bare collision moduli (vpp_seam(r)).
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    r = line_count(r)
     fs = tuple(sorted(map(type_vector, factors)))
     for f in fs:
         if len(f) != r:

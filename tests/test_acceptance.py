@@ -49,7 +49,7 @@ from linestrata.trees import (
 )
 from linestrata.vpp import vpp, vpp_by_strata, vpp_seam
 
-from test_local_models import fixture_chain
+from test_local_models import fixture_chain, paper_model
 
 fz = frozenset
 F = Fraction
@@ -218,7 +218,7 @@ def test_criterion_07_local_models_sweep():
         # the worked 1-dimensional example: frozen generator matrix and
         # difference system
         tp, coords, names = fixture_chain()
-        model = canonical_generators(tp, coordinates=coords, names=names)
+        model = paper_model(canonical_generators, tp, coords, names)
         assert model.generators == (
             (0, 0, -1, 1, 0, 0, 0),
             (-1, 1, 0, -1, 1, 0, 0),

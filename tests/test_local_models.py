@@ -4,7 +4,8 @@ Three hand-built strata serve as fixtures.  The first is the worked
 1-dimensional stratum with seven screens whose 4x7 generator matrix and
 difference system are frozen below; the other two are 0-dimensional strata,
 one of which exercises the seam coordinate and the negated-row sign
-pattern.
+pattern.  Each fixture also gives the paper's column order and names, which
+``paper_model`` lays over the default model.
 """
 
 import math
@@ -16,9 +17,11 @@ from linestrata.local_models import (
     NEG_INF,
     POS_INF,
     DiffConstraintSystem,
+    LatticeModel,
     _incidence,
     _lattice_model,
     _path,
+    _screen_walk,
     build_witness_system,
     canonical_generators,
     coherence_generators,
@@ -138,6 +141,22 @@ def fixture_seam():
     return tp, coords, names
 
 
+def paper_model(family, tp, coords, names):
+    """family(tp) with its columns in the paper's order: coords, a
+    permutation of lattice_coordinates(tp), named by names."""
+    model = family(tp)
+    position = {key: c for c, key in enumerate(lattice_coordinates(tp))}
+    source = [position[key] for key in coords]
+    assert sorted(source) == list(range(model.n_coords))
+    return LatticeModel(
+        names=tuple(names),
+        generators=tuple(tuple(row[c] for c in source) for row in model.generators),
+        seam_columns=frozenset(
+            j for j, c in enumerate(source) if c in model.seam_columns
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # canonical generators
 # ---------------------------------------------------------------------------
@@ -145,7 +164,7 @@ def fixture_seam():
 
 def test_chain_fixture_matrix():
     tp, coords, names = fixture_chain()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     assert model.names == names
     assert model.generators == (
         (0, 0, -1, 1, 0, 0, 0),
@@ -161,7 +180,7 @@ def test_chain_fixture_matrix():
 
 def test_chain_fixture_witness_system():
     tp, coords, names = fixture_chain()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     system, signs, violations = build_witness_system(
         model, (10, 20, 30, 40, 50, 60, 70)
     )
@@ -177,7 +196,7 @@ def test_chain_fixture_witness_system():
 
 def test_chain_zero_vector_gives_zero_solution():
     tp, coords, names = fixture_chain()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     system, _, violations = build_witness_system(model, (0,) * 7)
     assert violations == ()
     result = solve_difference_constraints(system)
@@ -186,8 +205,8 @@ def test_chain_zero_vector_gives_zero_solution():
 
 def test_chain_span_and_saturation():
     tp, coords, names = fixture_chain()
-    model = canonical_generators(tp, coordinates=coords, names=names)
-    coherence = coherence_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
+    coherence = paper_model(coherence_generators, tp, coords, names)
     assert len(coherence.generators) == 10
     assert lattice_span_equal(model, coherence)
     assert lattice_is_saturated(model)
@@ -195,9 +214,9 @@ def test_chain_span_and_saturation():
 
 def test_balanced_fixture_relations():
     tp, coords, names = fixture_balanced()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     assert model_defining_relations(model) == ["f = e", "b*e = a*d", "d = c"]
-    coherence = coherence_generators(tp, coordinates=coords, names=names)
+    coherence = paper_model(coherence_generators, tp, coords, names)
     assert set(model_defining_relations(coherence)) == {
         "d = c", "b*e = a*c", "b*f = a*c", "b*e = a*d", "b*f = a*d", "f = e",
     }
@@ -207,7 +226,7 @@ def test_balanced_fixture_relations():
 
 def test_seam_fixture_matrix_and_signs():
     tp, coords, names = fixture_seam()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     assert model.generators == (
         (0, 0, 0, -1, 1),
         (0, 1, 0, -1, 0),
@@ -221,7 +240,7 @@ def test_seam_fixture_matrix_and_signs():
 
 def test_seam_fixture_witness_system():
     tp, coords, names = fixture_seam()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     system, signs, violations = build_witness_system(model, (10, 20, 30, 40, 50))
     assert violations == ()
     assert system.diffs == ((0, 1, -40),)
@@ -231,7 +250,7 @@ def test_seam_fixture_witness_system():
 
 def test_seam_fixture_witness_round_trip():
     tp, coords, names = fixture_seam()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     coeffs = monoid_saturation_witness(model, (1, 0, 2, 5, -2), 3)
     assert coeffs == (5, 0, -1)
     shifted = [1, 0, 2, 5, -2]
@@ -242,7 +261,7 @@ def test_seam_fixture_witness_round_trip():
 
 def test_witness_precondition_failure():
     tp, coords, names = fixture_seam()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     # not representable: the first two coordinates force more than the
     # budget the last one allows
     with pytest.raises(ValueError, match="precondition failed"):
@@ -251,8 +270,59 @@ def test_witness_precondition_failure():
 
 def test_witness_nonnegative_shortcut():
     tp, coords, names = fixture_seam()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     assert monoid_saturation_witness(model, (0, 1, 2, 0, 3), 4) == (0, 0, 0)
+
+
+def test_default_order_models_are_pinned():
+    # the default column order: non-root screens in walk order, then the
+    # seam brackets; paper_model permutes from it, so pin it here
+    tp, _, _ = fixture_seam()
+    names = ("a1", "a2", "a3", "a4", "b1-2")
+    canonical = canonical_generators(tp)
+    assert canonical.names == names
+    assert canonical.generators == (
+        (0, 0, 0, -1, 1),
+        (0, 1, 0, -1, 0),
+        (1, 0, -1, 0, 0),
+    )
+    assert canonical.seam_columns == fz({4})
+    coherence = coherence_generators(tp)
+    assert coherence.names == names
+    assert coherence.generators == (
+        (1, 0, -1, 0, 0),
+        (1, 1, -1, -1, 0),
+        (0, -1, 0, 0, 1),
+        (0, 0, 0, -1, 1),
+    )
+    assert coherence.seam_columns == fz({4})
+
+    tp, _, _ = fixture_chain()
+    names = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
+    canonical = canonical_generators(tp)
+    assert canonical.names == names
+    assert canonical.generators == (
+        (0, 0, 0, 0, 0, 1, -1),
+        (0, 1, 0, 1, -1, -1, 0),
+        (0, 0, 1, -1, 0, 0, 0),
+        (1, -1, -1, 0, 0, 0, 0),
+    )
+    assert canonical.seam_columns == fz()
+    coherence = coherence_generators(tp)
+    assert coherence.names == names
+    assert coherence.generators == (
+        (1, -1, -1, 0, 0, 0, 0),
+        (1, -1, 0, -1, 0, 0, 0),
+        (1, 0, 0, 0, -1, -1, 0),
+        (1, 0, 0, 0, -1, 0, -1),
+        (0, 0, 1, -1, 0, 0, 0),
+        (0, 1, 1, 0, -1, -1, 0),
+        (0, 1, 1, 0, -1, 0, -1),
+        (0, 1, 0, 1, -1, -1, 0),
+        (0, 1, 0, 1, -1, 0, -1),
+        (0, 0, 0, 0, 0, 1, -1),
+    )
+    assert coherence.seam_columns == fz()
 
 
 def test_default_coordinates_cover_everything():
@@ -268,7 +338,7 @@ def test_default_coordinates_cover_everything():
 
 def test_saturation_is_unimodular_invariant():
     tp, coords, names = fixture_chain()
-    model = canonical_generators(tp, coordinates=coords, names=names)
+    model = paper_model(canonical_generators, tp, coords, names)
     rows = [list(r) for r in model.generators]
     # add the first row to the second: same lattice
     rows[1] = [a + b for a, b in zip(rows[1], rows[0])]
@@ -495,4 +565,4 @@ def test_walk_index_guards_fail_loudly():
     # The root screen has no coordinate, so a relation through it is refused.
     tp = next(tp for tp in enumerate_tree_pairs((1, 1)) if tp.dimension == 0)
     with pytest.raises(TypeError):
-        _lattice_model(tp, [((0,), (), None)], None, None)
+        _lattice_model(tp, _screen_walk(tp)[0], [((0,), (), None)])

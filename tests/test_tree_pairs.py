@@ -14,6 +14,7 @@ import linestrata
 from linestrata.local_models import (
     coherence_generators,
     glue_tree_pair,
+    lattice_coordinates,
     local_poset_elements,
     model_defining_relations,
 )
@@ -25,8 +26,6 @@ from linestrata.tree_pairs import (
     enumerate_tree_pairs,
     enumerate_two_bracketings_bruteforce,
     f_vector,
-    non_root_components,
-    non_root_interior,
     poset_leq_tree_pair,
     stratum_dimension,
     top_tree_pair,
@@ -267,11 +266,17 @@ def test_local_poset_sizes():
     assert len(local_poset_elements(deepest[0])) == 2
 
 
+def _glue_shape(tp):
+    """The lengths of a gluing's q and r: the stratum's screen and seam
+    coordinates."""
+    kinds = [kind for kind, _ in lattice_coordinates(tp)]
+    return kinds.count("comp"), kinds.count("seam")
+
+
 def test_glue_identity_and_top():
     for n in [(2, 0), (1, 1), (1, 1, 0)]:
         for tp in enumerate_tree_pairs(n):
-            k_q = len(non_root_components(tp))
-            k_r = len(non_root_interior(tp.seam_tree))
+            k_q, k_r = _glue_shape(tp)
             assert glue_tree_pair(tp, (0,) * k_q, (0,) * k_r) == tp
             if ((1,) * k_q, (1,) * k_r) in local_poset_elements(tp):
                 glued = glue_tree_pair(tp, (1,) * k_q, (1,) * k_r)
@@ -284,8 +289,7 @@ def test_glue_rejects_incoherent_data():
     ]
     tp = deepest[0]
     elements = set(local_poset_elements(tp))
-    k_q = len(non_root_components(tp))
-    k_r = len(non_root_interior(tp.seam_tree))
+    k_q, k_r = _glue_shape(tp)
     # some 0/1 vector outside the coherent set must exist and be rejected
     bad = None
     for q_bits in range(1 << k_q):

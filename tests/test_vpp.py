@@ -26,7 +26,7 @@ from linestrata.tree_pairs import (
     top_tree_pair,
     two_bracketing_to_tree_pair,
 )
-from linestrata.trees import enumerate_stable_trees, tree_dimension
+from linestrata.trees import StableTree, enumerate_stable_trees, tree_dimension
 from linestrata.vpp import (
     IntRing,
     stratum_counts,
@@ -280,6 +280,35 @@ def test_entry_points_refuse_bad_types(entry, n):
     # a non-integer entry is refused, not truncated to the type it rounds to
     with pytest.raises(ValueError):
         entry(n)
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (True, "not an integer"),
+        (3.0, "not an integer"),
+        ("3", "not an integer"),
+        (0, "at least 1"),
+        (-1, "at least 1"),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        vpp_seam,
+        lambda r: vpp_fiber_product(r, []),
+        lambda r: StableTree(r, []),
+        enumerate_stable_trees,
+    ],
+    ids=["vpp_seam", "vpp_fiber_product", "StableTree", "enumerate_stable_trees"],
+)
+def test_entry_points_refuse_bad_line_counts(entry, r, message):
+    # the line count is checked like a type's entries: True is not read as
+    # r = 1, and a float or string is refused with a ValueError
+    vpp_seam(1)  # a cached r = 1 must not answer for True
+    with pytest.raises(ValueError, match=message):
+        entry(r)
 
 
 def test_basis_shortcut_matches_full_recursion():
