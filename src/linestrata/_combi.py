@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 from operator import index, sub
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -49,10 +49,20 @@ def line_count(r: int) -> int:
     return r
 
 
-def marks(n: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """The marks of the type n as 1-based pairs (line, index), line by line."""
+class Mark(NamedTuple):
+    """The index-th marked point on the given line (both 1-based)."""
+
+    line: int
+    index: int
+
+    def to_json(self) -> dict:
+        return {"mark": [self.line, self.index]}
+
+
+def marks(n: Iterable[int]) -> tuple[Mark, ...]:
+    """The marks of the type n, line by line."""
     return tuple(
-        (line, i) for line, c in enumerate(type_vector(n), 1) for i in range(1, c + 1)
+        Mark(line, i) for line, c in enumerate(type_vector(n), 1) for i in range(1, c + 1)
     )
 
 

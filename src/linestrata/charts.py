@@ -186,12 +186,23 @@ def validate_slices(
     return out
 
 
+def _complete_slices(
+    tree: StableTree, slices: Mapping
+) -> dict[Bracket, tuple[Bracket, Bracket]]:
+    """:func:`validate_slices`, with a slice for every interior vertex."""
+    slices = validate_slices(tree, slices)
+    for rho in tree.interior_vertices():
+        if rho not in slices:
+            raise ValueError(f"vertex {sorted(rho)} has no slice")
+    return slices
+
+
 def pinned_curve(
     tree: StableTree, slices: Mapping[Bracket, tuple[Bracket, Bracket]]
 ) -> StableCurve:
     """The fully-pinned curve of a 0-dimensional (binary) tree: every screen
     holds exactly the two slice children, at 0 and 1."""
-    slices = validate_slices(tree, slices)
+    slices = _complete_slices(tree, slices)
     positions = {}
     for rho in tree.interior_vertices():
         children = tree.children(rho)
@@ -200,8 +211,6 @@ def pinned_curve(
                 f"vertex {sorted(rho)} has {len(children)} children; "
                 "a fully pinned curve needs a binary tree"
             )
-        if rho not in slices:
-            raise ValueError(f"vertex {sorted(rho)} has no slice")
         s0, s1 = slices[rho]
         values = [None, None]
         values[children.index(s0)] = Fraction(0)
@@ -349,18 +358,10 @@ def evaluate_chart(
     return StableCurve._checked(new_tree, positions)
 
 
-def _pair(value: object) -> tuple[int, int]:
-    """A rational number as (numerator, positive denominator)."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return value.numerator, value.denominator
-
-
-def _normalized_pairs(
-    pairs: Sequence[tuple[int, int]], pins: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """:func:`normalize_to_slice` on (numerator, nonzero denominator)
-    pairs, giving unreduced pairs of the same kind."""
+def _normalized_pairs(values: Sequence, pins: tuple[int, int]) -> list[tuple[int, int]]:
+    """:func:`normalize_to_slice` as unreduced pairs (numerator, nonzero
+    denominator)."""
+    pairs = [(x.numerator, x.denominator) for x in map(_fraction, values)]
     n0, d0 = pairs[pins[0]]
     n1, d1 = pairs[pins[1]]
     # (v - v0) / (v1 - v0), with v1 - v0 = span_n / (d0 * d1)
@@ -373,8 +374,7 @@ def _normalized_pairs(
 def normalize_to_slice(values: Sequence, pins: tuple[int, int]) -> tuple[Fraction, ...]:
     """Affine change of frame sending values[pins[0]] to 0 and
     values[pins[1]] to 1."""
-    pairs = [_pair(v) for v in values]
-    return tuple(Fraction(n, d) for n, d in _normalized_pairs(pairs, pins))
+    return tuple(Fraction(n, d) for n, d in _normalized_pairs(values, pins))
 
 
 def _anchor_leaf(
@@ -400,17 +400,25 @@ def invert_chart(
     Each screen's accumulated scale is the difference of its two anchor
     leaves (the all-0-descents of its slice children); the gluing
     coordinate is the ratio of a screen's scale to its parent's.  Only
-    0-dimensional (binary) trees have charts of this shape.
+    0-dimensional (binary) trees have charts of this shape, and the slices
+    are checked as :func:`pinned_curve` checks them.
     """
-    interior = tree.interior_vertices()
-    for rho in interior:
+    for rho in tree.interior_vertices():
         if tree.in_degree(rho) != 2:
             raise ValueError(
                 "chart inversion needs a 0-dimensional (binary) tree; "
                 f"vertex {sorted(rho)} has {tree.in_degree(rho)} children"
             )
-    y = [_pair(v) for v in leaf_positions]
-    if len(y) != tree.r:
+    return _inverted(tree, _complete_slices(tree, slices), leaf_positions)
+
+
+def _inverted(
+    tree: StableTree,
+    slices: Mapping[Bracket, tuple[Bracket, Bracket]],
+    leaf_positions: Sequence,
+) -> dict[Bracket, Fraction]:
+    """:func:`invert_chart` on a binary tree, with checked slices."""
+    if len(leaf_positions) != tree.r:
         raise ValueError("one position per leaf is required")
 
     def anchor_value(vertex: Bracket) -> tuple[int, int]:
@@ -419,12 +427,12 @@ def invert_chart(
     root = tree.root
     pin0 = _anchor_leaf(tree, slices, slices[root][0]) - 1
     pin1 = _anchor_leaf(tree, slices, slices[root][1]) - 1
-    normalized = _normalized_pairs(y, (pin0, pin1))
+    normalized = _normalized_pairs(leaf_positions, (pin0, pin1))
 
     # scales as unreduced pairs (numerator, nonzero denominator)
     scale: dict[Bracket, tuple[int, int]] = {root: (1, 1)}
     out: dict[Bracket, Fraction] = {}
-    for rho in interior:
+    for rho in tree.interior_vertices():
         if rho == root:
             continue
         s0, s1 = slices[rho]
@@ -469,6 +477,8 @@ def transition_check(
         raise ValueError("charts live on different moduli (leaf counts differ)")
     curve1 = pinned_curve(tree1, slices1)
     curve2 = pinned_curve(tree2, slices2)
+    # checked once here, so that the samples invert without checking again
+    slices2 = _complete_slices(tree2, slices2)
     root2 = tree2.root
     pin0 = _anchor_leaf(tree2, slices2, slices2[root2][0]) - 1
     pin1 = _anchor_leaf(tree2, slices2, slices2[root2][1]) - 1
@@ -488,7 +498,7 @@ def transition_check(
             glued = evaluate_chart(curve1, b1)
             leaf_row = glued.positions[glued.tree.root]
             target = normalize_to_slice(leaf_row, (pin0, pin1))
-            b2 = invert_chart(tree2, slices2, target)
+            b2 = _inverted(tree2, slices2, target)
             if 0 in b2.values():
                 continue
             reglued = evaluate_chart(curve2, b2)

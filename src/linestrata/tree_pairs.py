@@ -40,7 +40,7 @@ from itertools import combinations, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from ._combi import marks, set_partitions, set_partitions_at_least, type_vector
+from ._combi import Mark, marks, set_partitions, set_partitions_at_least, type_vector
 from .trees import (
     Bracket, Nested, StableTree, enumerate_stable_trees, hierarchies, top_tree,
     tree_dimension,
@@ -61,17 +61,6 @@ __all__ = [
     "enumerate_two_bracketings_bruteforce",
     "poset_leq_tree_pair",
 ]
-
-
-@dataclass(frozen=True)
-class Mark:
-    """The index-th marked point on the given line (both 1-based)."""
-
-    line: int
-    index: int
-
-    def to_json(self) -> dict:
-        return {"mark": [self.line, self.index]}
 
 
 @dataclass(frozen=True)
@@ -99,15 +88,15 @@ class Component:
                 if isinstance(child, Component):
                     yield child
 
-    def subtree_marks(self) -> frozenset[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
+    def subtree_marks(self) -> frozenset[Mark]:
+        out: set[Mark] = set()
         stack: list[Component] = [self]
         while stack:
             comp = stack.pop()
             for seam in comp.seams:
                 for child in seam.children:
                     if isinstance(child, Mark):
-                        out.add((child.line, child.index))
+                        out.add(child)
                     else:
                         stack.append(child)
         return frozenset(out)
@@ -115,7 +104,7 @@ class Component:
 
 def _child_sort_key(child: Component | Mark):
     if isinstance(child, Mark):
-        return (0, child.line, child.index)
+        return (0, child)
     # a screen without marks is malformed; sort it anyway, so that
     # validate_tree_pair is what reports it
     return (1, min(child.subtree_marks(), default=()))
@@ -189,6 +178,17 @@ class TreePair:
         """:func:`stratum_dimension` of this stratum, computed once."""
         return stratum_dimension(self)
 
+    @cached_property
+    def two_bracketing(self) -> tuple[frozenset[Bracket], frozenset[TwoBracket]]:
+        """:func:`tree_pair_to_two_bracketing` of this stratum, computed
+        once: the seam tree's brackets, and a 2-bracket (lines, marks below)
+        per screen and per mark."""
+        root_marks = self.root.subtree_marks()
+        two = {(frozenset({mark.line}), frozenset({mark})) for mark in root_marks}
+        two.add((self.root.lines, root_marks))
+        two.update((comp.lines, comp.subtree_marks()) for comp in self.components()[1:])
+        return self.seam_tree.brackets, frozenset(two)
+
     def sort_key(self) -> tuple[int, str]:
         return (self.dimension, self.canonical_key())
 
@@ -206,8 +206,7 @@ def validate_tree_pair(tp: TreePair) -> None:
     full = frozenset(range(1, r + 1))
     if tp.root.lines != full:
         raise ValueError("root screen must carry every line")
-    expected_marks = set(marks(tp.n))
-    seen_marks: list[tuple[int, int]] = []
+    seen_marks: list[Mark] = []
 
     def walk(comp: Component, is_root: bool) -> None:
         if not comp.seams:
@@ -246,7 +245,7 @@ def validate_tree_pair(tp: TreePair) -> None:
                         raise ValueError(
                             f"mark {child} misplaced on a seam over {sorted(seam.lines)}"
                         )
-                    seen_marks.append((child.line, child.index))
+                    seen_marks.append(child)
                 else:
                     if child.lines != seam.lines:
                         raise ValueError(
@@ -255,11 +254,16 @@ def validate_tree_pair(tp: TreePair) -> None:
                     walk(child, False)
 
     walk(tp.root, True)
-    if len(seen_marks) != len(set(seen_marks)):
+    seen = set(seen_marks)
+    if len(seen_marks) != len(seen):
         raise ValueError("duplicate marks")
-    if set(seen_marks) != expected_marks:
+    # distinct marks, each of the type, as many as the type has: its census
+    if len(seen) != sum(tp.n) or not all(
+        index in range(1, tp.n[line - 1] + 1) for line, index in seen
+    ):
         raise ValueError(
-            f"marks {sorted(set(seen_marks))} do not census {sorted(expected_marks)}"
+            f"marks {sorted(map(tuple, seen))} do not census"
+            f" {list(map(tuple, marks(tp.n)))}"
         )
 
 
@@ -278,7 +282,7 @@ def top_tree_pair(n: Sequence[int]) -> TreePair:
     """The open stratum: one screen, marks straight on their lines."""
     nt = type_vector(n)
     lines = range(1, len(nt) + 1)
-    points = [Mark(*mark) for mark in marks(nt)]
+    points = marks(nt)
     # over a single line, the one seam carries the line's marks too
     seams = tuple(
         Seam(frozenset({i}), tuple(m for m in points if m.line == i)) for i in lines
@@ -424,7 +428,7 @@ def enumerate_tree_pairs(
     nt = type_vector(n)
     r = len(nt)
     lines = tuple(range(1, r + 1))
-    points = tuple(Mark(*mark) for mark in marks(nt))
+    points = marks(nt)
     keyed = []
     # uncached at the top: the cache keeps sub-fibers only, so the strata
     # die with the caller's list
@@ -458,17 +462,13 @@ def f_vector(n: Sequence[int]) -> list[int]:
 # bracketing dictionary and degeneration order
 # ---------------------------------------------------------------------------
 
-TwoBracket = tuple[frozenset[int], frozenset[tuple[int, int]]]
+TwoBracket = tuple[frozenset[int], frozenset[Mark]]
 
 
 def tree_pair_to_two_bracketing(
     tp: TreePair,
 ) -> tuple[frozenset[Bracket], frozenset[TwoBracket]]:
-    root_marks = tp.root.subtree_marks()
-    two = {(frozenset({mark[0]}), frozenset({mark})) for mark in root_marks}
-    two.add((tp.root.lines, root_marks))
-    two.update((comp.lines, comp.subtree_marks()) for comp in tp.components()[1:])
-    return tp.seam_tree.brackets, frozenset(two)
+    return tp.two_bracketing
 
 
 def _tb_contains(big: TwoBracket, small: TwoBracket) -> bool:

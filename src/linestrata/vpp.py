@@ -11,16 +11,16 @@ root screen:
 * each factor independently splits its marks into k screens.  The fused
   levels above them (each splitting its content into at least two children
   at distinct heights, weight ``qconfig(#children)``) form a rooted tree on
-  the k labelled screens, and p_k = ``_seam(k)`` (p_1 = p_2 = 1) sums exactly
-  these trees.  So a screen partition of multiplicity m weighs m * p_k, in
-  every ring, since this only regroups the hierarchies' products;
+  the k labelled screens, and p_k = ``_fiber(k, ())`` (p_1 = p_2 = 1) sums
+  exactly these trees.  So a screen partition of multiplicity m weighs
+  m * p_k, in every ring, since this only regroups the hierarchies' products;
 * the leaves of those hierarchies are screens on which the lines separate into
   a shared partition P with at least two parts (weight ``qconfig(#P)`` once,
   since line positions are common to all factors);
-* on each screen, marks over a single line form height configurations with
-  point clusters (cluster of size m contributing the seam polynomial p_m),
-  marks over a fat part are distributed into sub-screens whose pooled
-  collection forms a smaller fiber product over that part;
+* on each screen, marks over a part are distributed into sub-screens whose
+  pooled collection forms a smaller fiber product over that part; over a
+  single line, the sub-screens are point clusters, each of size m
+  contributing p_m;
 * every screen is taken modulo its two-dimensional reparametrization group,
   dividing out one factor of q = x^2 (the division is checked to be exact,
   see below);
@@ -113,8 +113,8 @@ Read from the root screen down, a stratum (a seam tree with a screen tree,
 see :mod:`~linestrata.tree_pairs`) makes exactly one such choice at every
 level, and every choice is made by exactly one stratum; the single-line and
 single-mark shortcuts of ``_fiber`` are isomorphisms of stratified spaces.
-The terms of a screen distribution's ``_seam(k)`` are exactly the
-hierarchies above its k screens, so the bijection still holds there.
+The terms of a screen distribution's p_k = ``_fiber(k, ())`` are exactly
+the hierarchies above its k screens, so the bijection still holds there.
 :func:`~linestrata.tree_pairs.enumerate_tree_pairs` lists the same terms:
 its ``_enum_fiber`` makes the same choices level by level, and takes the
 hierarchies above a factor's k screens from
@@ -328,29 +328,13 @@ def vpp_seam(r: int) -> UniPoly:
 
 
 @lru_cache(maxsize=None)
-def _seam(ring, r: int):
-    """vpp_seam(r) in the given ring."""
-    if r <= 2:
-        return ring.constant(1)
-    total = ring.constant(0)
-    for blocks, mult in vector_partitions((r,)):
-        if len(blocks) < 2:
-            continue
-        term = ring.constant(mult) * ring.qconfig(len(blocks))
-        for (size,) in blocks:
-            term = term * _seam(ring, size)
-        total = total + term
-    return total
-
-
-@lru_cache(maxsize=None)
 def _screen_distribution(ring, v: Vector) -> tuple[tuple[tuple[Vector, ...], object], ...]:
     """Weighted multisets of screens a single factor can present to the root:
     a partition of v into k screens, of multiplicity m, weighs m * p_k."""
     if not any(v):
         raise ValueError(f"count vector {v} carries no marks")
     out = [
-        (tuple(sorted(blocks)), ring.constant(mult) * _seam(ring, len(blocks)))
+        (tuple(sorted(blocks)), ring.constant(mult) * _fiber(ring, len(blocks), ()))
         for blocks, mult in vector_partitions(v)
     ]
     return tuple(sorted(out, key=lambda kv: kv[0]))
@@ -358,26 +342,18 @@ def _screen_distribution(ring, v: Vector) -> tuple[tuple[tuple[Vector, ...], obj
 
 @lru_cache(maxsize=None)
 def _point_factor(ring, c: int):
-    """Height moduli of c marks on one line of a screen.
-
-    Sum over clusterings: the clusters sit at distinct heights avoiding
-    nothing (config(#clusters, 0)); a cluster of size m carries the
-    collapsed moduli p_m of its bubble.
-    """
-    total = ring.constant(0)
-    for blocks, mult in vector_partitions((c,)):
-        term = ring.constant(mult) * ring.config(len(blocks), 0)
-        for (size,) in blocks:
-            term = term * _seam(ring, size)
-        total = total + term
-    return total
+    """Height moduli of c marks on one line of a screen: the fat part of
+    that one line.  Its sub-screens are the point clusters, at distinct
+    heights (config(#clusters, 0)), and the fiber over one line multiplies
+    their collapsed moduli p_m."""
+    return _fat_part(ring, 1, ((c,),))
 
 
 @lru_cache(maxsize=None)
 def _fat_part(ring, m: int, subs: tuple[Vector, ...]):
-    """Contribution of a part of m >= 2 lines across all screens, given
-    each screen's marks over the part, sorted.  A screen without marks over
-    the part has one split, into no sub-screens, of weight config(0, 0) = 1,
+    """Contribution of a part of m lines across all screens, given each
+    screen's marks over the part, sorted.  A screen without marks over the
+    part has one split, into no sub-screens, of weight config(0, 0) = 1,
     so it may be left out.
 
     Each screen distributes its marks over the part into sub-screens at
@@ -491,7 +467,8 @@ def _all_root(ring, r: int, screens: tuple[Vector, ...]):
     Lines with equal columns are interchangeable, so the sum runs over the
     partitions of the column-type counts, on representative lines.
     """
-    columns = sorted(zip(*screens))
+    # with no screens, the r lines are r empty columns of one type
+    columns = sorted(zip(*screens)) if screens else [()] * r
     parts, terms = _line_partitions(tuple(len(list(run)) for _, run in groupby(columns)))
     # a screen's q of reparametrizations divides the factor of the part that
     # holds its first marked line: the screen puts a config(l >= 1, 0) there
@@ -511,21 +488,23 @@ def _all_root(ring, r: int, screens: tuple[Vector, ...]):
 
 @lru_cache(maxsize=None)
 def _fiber(ring, r: int, factors: tuple[Vector, ...]):
+    """The fiber product of the factors over r lines; p_r with none."""
     if r == 1:
         out = ring.constant(1)
         for f in factors:
-            out = out * _seam(ring, sum(f))
+            out = out * _fiber(ring, sum(f), ())
         return out
-    if all(sum(f) == 1 for f in factors):
+    if factors and all(sum(f) == 1 for f in factors):
         # a single-mark factor is isomorphic to the base, so the fiber
-        # product of none or only such factors is the base itself
-        return _seam(ring, r)
+        # product of only such factors is the base itself
+        return _fiber(ring, r, ())
     return _fiber_sum(ring, r, factors)
 
 
 def _fiber_sum(ring, r: int, factors: tuple[Vector, ...]):
-    """The fiber product of nonempty factors over r >= 2 lines, summed over
-    the pooled screen multisets the factors present to the root."""
+    """The fiber product over r >= 2 lines, summed over the pooled screen
+    multisets the factors present to the root; with no factors, the one
+    empty multiset."""
     # relabelling the lines leaves _all_root unchanged: sort the columns,
     # then the screens, so that relabelled multisets share a cache entry
     return _pool(

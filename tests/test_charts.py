@@ -176,6 +176,37 @@ def test_normalize_to_slice():
         normalize_to_slice((3, 3, 5), (0, 1))
 
 
+def test_positions_refuse_bools():
+    # a bool is not a number, as in every other chart input
+    tree, slices = left_comb()
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="expected a number"):
+            normalize_to_slice((bad, 0, 2), (1, 2))
+        with pytest.raises(ValueError, match="expected a number"):
+            invert_chart(tree, slices, (0, bad, 2, 3))
+
+
+def test_float_positions_read_as_their_decimal_text():
+    assert normalize_to_slice((0.1, 0, 1), (1, 2)) == (F(1, 10), F(0), F(1))
+    tree, slices = left_comb()
+    decimal = invert_chart(tree, slices, ("0", "1", "1/10", "3/10"))
+    assert invert_chart(tree, slices, (0, 1, 0.1, 0.3)) == decimal
+
+
+def test_invert_chart_checks_its_slices():
+    tree = StableTree(4, [fz({1, 2}), fz({3, 4})])
+    slices = default_slices(tree)
+    assert invert_chart(tree, slices, (0, 1, 2, 3))
+    # the root pins two leaves, neither of them one of its children
+    slices[fz({1, 2, 3, 4})] = (fz({1}), fz({3}))
+    stray = r"pins \[1\], which is not one of its children"
+    with pytest.raises(ValueError, match=stray):
+        invert_chart(tree, slices, (0, 1, 2, 3))
+    del slices[fz({1, 2, 3, 4})]
+    with pytest.raises(ValueError, match=r"vertex \[1, 2, 3, 4\] has no slice"):
+        invert_chart(tree, slices, (0, 1, 2, 3))
+
+
 def test_invert_chart_requires_binary_tree():
     slices = default_slices(top_tree(4))
     with pytest.raises(ValueError, match="binary"):

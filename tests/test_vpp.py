@@ -323,7 +323,7 @@ def test_basis_shortcut_matches_full_recursion():
             for k in range(1, 5):
                 for factors in combinations_with_replacement(units, k):
                     full = vpp_module._fiber_sum(ring, r, tuple(sorted(factors)))
-                    assert full == vpp_module._seam(ring, r), (ring, r, factors)
+                    assert full == vpp_module._fiber(ring, r, ()), (ring, r, factors)
 
 
 def _labelled_part_factor(ring, part, screens):
@@ -450,8 +450,8 @@ def _comparable(distribution):
 
 @pytest.mark.parametrize("ring", RINGS + BOUNDED_RINGS, ids=RING_IDS)
 def test_screen_distribution_closed_form(ring):
-    # the hierarchies over k labelled screens are the trees _seam(k) sums, so
-    # the closed form regroups the same products in every ring
+    # the hierarchies over k labelled screens are the trees _fiber(k, ())
+    # sums, so the closed form regroups the same products in every ring
     for length in range(1, 5):
         for v in product(range(3), repeat=length):
             if any(v):
