@@ -38,12 +38,18 @@ def type_vector(n: Iterable[int], *, markless: bool = False) -> Vector:
     return nt
 
 
+def as_integer(value: object, what: str) -> int:
+    """value as an int; raises ValueError, naming it as what, on a bool,
+    float or string, which are refused, not truncated."""
+    if _not_an_integer(value):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return index(value)
+
+
 def line_count(r: int) -> int:
     """The line count r >= 1 as an int; raises ValueError, like
     :func:`type_vector`, on a bool, float or string."""
-    if _not_an_integer(r):
-        raise ValueError(f"line count {r!r} is not an integer")
-    r = index(r)
+    r = as_integer(r, "line count")
     if r < 1:
         raise ValueError("r must be at least 1")
     return r

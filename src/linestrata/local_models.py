@@ -48,8 +48,9 @@ class LatticeModel:
 
     seam_columns marks which coordinates belong to seam brackets; rows with
     a +1 there are seam-contraction relations, which matters for the
-    incidence analysis.  The incidence pattern and the diagonal form depend
-    on the model alone, so each is computed on first use and kept.
+    incidence analysis.  The incidence pattern, the witness plan and the
+    diagonal form depend on the model alone, so each is computed on first
+    use and kept.
     """
 
     names: tuple[str, ...]
@@ -74,6 +75,11 @@ class LatticeModel:
     def incidence(self):
         """:func:`_incidence` of the model; raises on a bad pattern."""
         return _incidence(self)
+
+    @cached_property
+    def witness_plan(self):
+        """:func:`_witness_plan` of the model; raises on a bad pattern."""
+        return _witness_plan(self)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -626,6 +632,28 @@ def _incidence(model: LatticeModel):
     return tuple(signs), hits
 
 
+def _witness_plan(model: LatticeModel):
+    """How each coordinate of x enters a witness system, read off the
+    incidence pattern once per model, each list in column order.
+
+    Returns (untouched, once, twice): (column, name) for each column no
+    generator touches, (column, row, entry) for each column one row touches,
+    and (column, r1, r2) for each column two rows touch.
+    """
+    _, hits = model.incidence
+    untouched, once, twice = [], [], []
+    for col in range(model.n_coords):
+        touching = hits.get(col, ())
+        if not touching:
+            untouched.append((col, model.names[col]))
+        elif len(touching) == 1:
+            once.append((col, *touching[0]))
+        else:
+            (r1, _), (r2, _) = touching
+            twice.append((col, r1, r2))
+    return tuple(untouched), tuple(once), tuple(twice)
+
+
 def build_witness_system(model: LatticeModel, x: Sequence[int]):
     """Translate "x plus an integer combination of the generators is
     coordinatewise nonnegative" into a difference-constraint system over the
@@ -634,38 +662,32 @@ def build_witness_system(model: LatticeModel, x: Sequence[int]):
     Returns (system, signs, violations) where violations lists coordinates
     that are negative yet untouched by every generator; the system is
     feasible together with empty violations exactly when a witness exists.
+    A column touched once bounds its row's coefficient, one touched twice
+    bounds the difference of its rows' (see :func:`_witness_plan`).
     """
-    x = tuple(int(v) for v in x)
+    x = tuple(map(int, x))
     if len(x) != model.n_coords:
         raise ValueError("x must have one entry per coordinate")
-    signs, hits = model.incidence
+    signs, _ = model.incidence
+    untouched, once, twice = model.witness_plan
     m = len(model.generators)
     lower: list[int | float] = [NEG_INF] * m
     upper: list[int | float] = [POS_INF] * m
-    diffs: list[tuple[int, int, int]] = []
-    violations: list[str] = []
-
-    for col in range(model.n_coords):
-        value = x[col]
-        touching = hits.get(col, ())
-        if not touching:
-            if value < 0:
-                violations.append(
-                    f"coordinate {model.names[col]} = {value} is negative and "
-                    "no generator moves it"
-                )
-        elif len(touching) == 1:
-            row, entry = touching[0]
-            if entry == 1:
-                lower[row] = max(lower[row], -value)
-            else:
-                upper[row] = min(upper[row], value)
+    for col, row, entry in once:
+        if entry == 1:
+            lower[row] = max(lower[row], -x[col])
         else:
-            (r1, _), (r2, _) = touching
-            diffs.append((r1, r2, -value))
-
+            upper[row] = min(upper[row], x[col])
+    violations = [
+        f"coordinate {name} = {x[col]} is negative and no generator moves it"
+        for col, name in untouched
+        if x[col] < 0
+    ]
     system = DiffConstraintSystem(
-        n=m, diffs=tuple(diffs), lower=tuple(lower), upper=tuple(upper)
+        n=m,
+        diffs=tuple([(r1, r2, -x[col]) for col, r1, r2 in twice]),
+        lower=tuple(lower),
+        upper=tuple(upper),
     )
     return system, signs, tuple(violations)
 
@@ -681,7 +703,7 @@ def monoid_saturation_witness(
     fails), and AssertionError in the impossible case that k*x has one
     while x does not.
     """
-    x = tuple(int(v) for v in x)
+    x = tuple(map(int, x))
     if len(x) != model.n_coords:
         raise ValueError("x must have one entry per coordinate")
     if not isinstance(k, int) or k < 1:

@@ -34,13 +34,16 @@ poset and gluing) lives in :mod:`linestrata.local_models`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
-from ._combi import Mark, marks, set_partitions, set_partitions_at_least, type_vector
+from ._combi import (
+    Mark, as_integer, marks, set_partitions, set_partitions_at_least, type_vector,
+)
 from .trees import (
     Bracket, Nested, StableTree, enumerate_stable_trees, hierarchies, top_tree,
     tree_dimension,
@@ -309,34 +312,87 @@ def _fuse(
     return Component(lines, (Seam(lines, kids),))
 
 
+def _nested_dimension(tree: Nested) -> int:
+    """Sum of (children - 2) over the interior vertices of a nested tree."""
+    if isinstance(tree, int):
+        return 0
+    return len(tree) - 2 + sum(map(_nested_dimension, tree))
+
+
+@lru_cache(maxsize=None)
+def _graded_hierarchies(k: int) -> tuple[tuple[int, Nested], ...]:
+    """:func:`~linestrata.trees.hierarchies` of k as (dimension, tree)
+    pairs, the dimension being what the tree's interior vertices add as
+    single screens."""
+    return tuple((_nested_dimension(tree), tree) for tree in hierarchies(k))
+
+
+# an option graded by its first item, an int >= 0
+G = TypeVar("G", bound=tuple)
+_grade = itemgetter(0)
+
+
+def _graded_product(
+    options: Sequence[Sequence[G]], budget: float
+) -> Iterator[tuple[int, tuple[G, ...]]]:
+    """The combinations of one option from each list whose grades, each
+    option's first item, sum to at most budget, as (the sum, the options),
+    in :func:`itertools.product` order.  Grades are >= 0, so the lists
+    need hold only options graded at most budget."""
+    for combo in product(*options):
+        total = sum(map(_grade, combo))
+        if total <= budget:
+            yield total, combo
+
+
 def _line_children(
-    line: int, marks: tuple[Mark, ...]
-) -> Iterator[tuple[Component | Mark, ...]]:
-    """Every sorted seam child tuple over the marks of one line: each
-    cluster of a set partition of the marks fused under a stable tree."""
+    line: int, marks: tuple[Mark, ...], budget: float
+) -> Iterator[tuple[int, tuple[Component | Mark, ...]]]:
+    """Every sorted seam child tuple over the marks of one line, each
+    cluster of a set partition of the marks fused under a stable tree, with
+    the dimension of the fused levels, up to budget."""
     lines = frozenset({line})
     for clusters in set_partitions(marks):
         options = [
-            [_fuse(tree, cluster, lines) for tree in hierarchies(len(cluster))]
+            [
+                (dim, _fuse(tree, cluster, lines))
+                for dim, tree in _graded_hierarchies(len(cluster))
+                if dim <= budget
+            ]
             for cluster in clusters
         ]
-        for combo in product(*options):
-            yield _sorted_children(combo)
+        for dim, combo in _graded_product(options, budget):
+            yield dim, _sorted_children(fused for _, fused in combo)
 
 
-def _screen_rows(screen: tuple[Mark, ...], parts: Sequence[tuple[int, ...]]) -> list[tuple]:
+def _screen_rows(
+    screen: tuple[Mark, ...], parts: Sequence[tuple[int, ...]], budget: float
+) -> list[tuple[int, tuple]]:
     """A screen's rows under a line partition, an entry per part: over a
     single line the seam children of its marks there, over a fat part a set
-    partition of its marks there into sub-screen groups."""
+    partition of its marks there into sub-screen groups.  Each row comes as
+    (the dimension it adds, the row), up to budget: the screen's objects (a
+    seam child or a group each) less one, plus its fused levels."""
+    # entries are graded with their objects, so up to budget + 1
     options = []
     for part in parts:
         here = tuple(m for m in screen if m.line in part)
         if len(part) == 1:
             # a line without marks keeps its one empty seam
-            options.append(list(_line_children(part[0], here)))
+            entries = (
+                (dim + len(children), children)
+                for dim, children in _line_children(part[0], here, budget)
+            )
         else:
-            options.append([tuple(map(tuple, groups)) for groups in set_partitions(here)])
-    return list(product(*options))
+            entries = (
+                (len(groups), tuple(map(tuple, groups))) for groups in set_partitions(here)
+            )
+        options.append([entry for entry in entries if entry[0] <= budget + 1])
+    # a screen has a mark, so every row has an object
+    return [
+        (objects - 1, tuple(entry for _, entry in combo))
+        for objects, combo in _graded_product(options, budget + 1)
+    ]
 
 
 def _multi_screen(
@@ -356,9 +412,10 @@ def _multi_screen(
 
 @lru_cache(maxsize=None)
 def _enum_fiber(
-    lines: tuple[int, ...], factors: tuple[tuple[Mark, ...], ...]
-) -> tuple[tuple[frozenset[Bracket], tuple[Component, ...]], ...]:
-    """All (interior sub-brackets, per-factor root screens) over the lines.
+    lines: tuple[int, ...], factors: tuple[tuple[Mark, ...], ...], budget: float
+) -> tuple[tuple[int, frozenset[Bracket], tuple[Component, ...]], ...]:
+    """All (dimension, interior sub-brackets, per-factor root screens)
+    over the lines, of dimension at most budget.
 
     The brackets returned are the interior vertices strictly inside the line
     set; the caller owns the vertex for the line set itself.  Over several
@@ -366,6 +423,14 @@ def _enum_fiber(
     line partition, each screen picks a row, and the groups over each fat
     part are pooled into one sub-fiber, whose roots come back in the order
     the groups went in (see the module docstring).
+
+    The dimension is :func:`stratum_dimension`'s sum, taken where each
+    choice is made: a partition of the lines into k parts adds k - 2 at the
+    line set's vertex, a fusion tree (c - 2) per interior vertex with c
+    children, and a row its screen's objects less one plus its fused levels;
+    each sub-fiber gets the budget that is left.  Every share is >= 0, so
+    no choice is pursued once its partial sum passes the budget, and
+    ``budget = math.inf`` gives every stratum.
     """
     if any(not marks for marks in factors):
         raise ValueError("a factor with no marks cannot cover a line")
@@ -373,47 +438,60 @@ def _enum_fiber(
     if len(lines) == 1:
         (marks,) = factors
         if len(marks) == 1:
-            return ((frozenset(), (Component(full, (Seam(full, marks),)),)),)
+            # the one-mark whole space, a point
+            one = Component(full, (Seam(full, marks),))
+            return ((0, frozenset(), (one,)),) if budget >= 0 else ()
         return tuple(
-            (frozenset(), (_fuse(tree, marks, full),)) for tree in hierarchies(len(marks))
+            (dim, frozenset(), (_fuse(tree, marks, full),))
+            for dim, tree in _graded_hierarchies(len(marks))
+            if dim <= budget
         )
 
     presentations = [
         [
-            (tuple(map(tuple, screens)), tree)
+            (dim, tuple(map(tuple, screens)), tree)
             for screens in set_partitions(marks)
-            for tree in hierarchies(len(screens))
+            for dim, tree in _graded_hierarchies(len(screens))
+            if dim <= budget
         ]
         for marks in factors
     ]
-    distinct = {s for options in presentations for blocks, _ in options for s in blocks}
-    results: list[tuple[frozenset[Bracket], tuple[Component, ...]]] = []
+    distinct = {s for options in presentations for _, blocks, _ in options for s in blocks}
+    results = []
     for raw_parts in set_partitions_at_least(sorted(lines), 2):
+        # the line set's vertex in the seam tree
+        spent = len(raw_parts) - 2
+        if spent > budget:
+            continue
         parts = sorted(map(tuple, raw_parts))
         seam_lines = [frozenset(part) for part in parts]
         fat = [j for j, part in enumerate(parts) if len(part) > 1]
-        rows = {screen: _screen_rows(screen, parts) for screen in distinct}
-        for presented in product(*presentations):
-            screens = [screen for blocks, _ in presented for screen in blocks]
-            for picked in product(*(rows[screen] for screen in screens)):
+        rows = {screen: _screen_rows(screen, parts, budget - spent) for screen in distinct}
+        for fused, presented in _graded_product(presentations, budget - spent):
+            screens = [screen for _, blocks, _ in presented for screen in blocks]
+            picks = _graded_product([rows[s] for s in screens], budget - spent - fused)
+            for split, picked in picks:
+                made = spent + fused + split
                 subs = [
-                    _enum_fiber(parts[j], tuple(g for row in picked for g in row[j]))
+                    _enum_fiber(
+                        parts[j], tuple(g for _, row in picked for g in row[j]), budget - made
+                    )
                     for j in fat
                 ]
-                for sub_combo in product(*subs):
+                for below, sub_combo in _graded_product(subs, budget - made):
                     brackets = {seam_lines[j] for j in fat}
                     fed = {}
-                    for j, (sub_brackets, sub_roots) in zip(fat, sub_combo):
+                    for j, (_, sub_brackets, sub_roots) in zip(fat, sub_combo):
                         brackets |= sub_brackets
                         fed[j] = iter(sub_roots)
                     built = iter(
-                        [_multi_screen(full, seam_lines, row, fed) for row in picked]
+                        [_multi_screen(full, seam_lines, row, fed) for _, row in picked]
                     )
                     roots = tuple(
                         _fuse(tree, list(islice(built, len(blocks))), full)
-                        for blocks, tree in presented
+                        for _, blocks, tree in presented
                     )
-                    results.append((frozenset(brackets), roots))
+                    results.append((made + below, frozenset(brackets), roots))
     return tuple(results)
 
 
@@ -422,20 +500,32 @@ def enumerate_tree_pairs(
 ) -> list[TreePair]:
     """All strata of the space with n_i marks on line i, dimension-sorted.
 
-    With a dimension, only the strata of that dimension, in the same order;
-    the others are dropped before they are keyed, sorted or validated.
+    With a dimension, only the strata of that dimension, in the same order:
+    the enumeration takes no choice that passes it, and builds, keys, sorts
+    and validates only the strata it keeps.  A negative or too large
+    dimension gives no strata; one that is not an integer (a bool, float or
+    string) raises ValueError.  Each stratum's :func:`stratum_dimension` is
+    checked against the enumeration's.
     """
     nt = type_vector(n)
+    if dimension is not None:
+        dimension = as_integer(dimension, "dimension")
     r = len(nt)
     lines = tuple(range(1, r + 1))
     points = marks(nt)
     keyed = []
     # uncached at the top: the cache keeps sub-fibers only, so the strata
     # die with the caller's list
-    for brackets, roots in _enum_fiber.__wrapped__(lines, (points,)):
+    budget = math.inf if dimension is None else dimension
+    for dim, brackets, roots in _enum_fiber.__wrapped__(lines, (points,), budget):
+        if dimension is not None and dim != dimension:
+            continue
         tp = TreePair(nt, StableTree(r, brackets), roots[0])
-        if dimension is None or tp.dimension == dimension:
-            keyed.append((tp.sort_key(), tp))
+        if tp.dimension != dim:
+            raise AssertionError(
+                f"stratum of dimension {tp.dimension} enumerated as dimension {dim}"
+            )
+        keyed.append((tp.sort_key(), tp))
     keyed.sort(key=itemgetter(0))
     out: list[TreePair] = []
     previous = None

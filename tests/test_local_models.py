@@ -411,6 +411,70 @@ def test_small_sweep_span_saturation_incidence():
     assert checked > 20
 
 
+def _reference_witness_system(model, x):
+    """build_witness_system as one pass over the columns, each looked up
+    in the incidence pattern: the reference for the model's witness plan."""
+    x = tuple(int(v) for v in x)
+    signs, hits = model.incidence
+    m = len(model.generators)
+    lower = [NEG_INF] * m
+    upper = [POS_INF] * m
+    diffs = []
+    violations = []
+    for col in range(model.n_coords):
+        value = x[col]
+        touching = hits.get(col, ())
+        if not touching:
+            if value < 0:
+                violations.append(
+                    f"coordinate {model.names[col]} = {value} is negative and "
+                    "no generator moves it"
+                )
+        elif len(touching) == 1:
+            row, entry = touching[0]
+            if entry == 1:
+                lower[row] = max(lower[row], -value)
+            else:
+                upper[row] = min(upper[row], value)
+        else:
+            (r1, _), (r2, _) = touching
+            diffs.append((r1, r2, -value))
+    system = DiffConstraintSystem(
+        n=m, diffs=tuple(diffs), lower=tuple(lower), upper=tuple(upper)
+    )
+    return system, signs, tuple(violations)
+
+
+def test_witness_plan_matches_the_column_loop():
+    # every 0-dimensional model with |n| + r <= 6, eight seeded points
+    # each (12 776 in all, with the fixtures), entries of both signs so that
+    # every branch of the plan is taken; no canonical row is bounded by two
+    # columns of one sign, so a hand-built model has each row bounded twice
+    models = [
+        paper_model(canonical_generators, *fixture())
+        for fixture in (fixture_chain, fixture_balanced, fixture_seam)
+    ]
+    models.append(
+        LatticeModel(
+            names=("a", "b", "c", "d", "e"),
+            generators=((1, 1, -1, -1, 0), (0, 0, 0, 0, 0)),
+        )
+    )
+    for n in sweep_types(6):
+        models.extend(map(canonical_generators, enumerate_tree_pairs(n, dimension=0)))
+    assert len(models) == 4 + 1593
+    rng = random.Random(28)
+    for model in models:
+        for _ in range(8):
+            x = tuple(rng.randint(-6, 6) for _ in range(model.n_coords))
+            assert build_witness_system(model, x) == _reference_witness_system(
+                model, x
+            ), (model, x)
+    # every kind of column occurs
+    plans = [model.witness_plan for model in models]
+    assert all(any(plan[kind] for plan in plans) for kind in range(3))
+
+
 def _zero_one_points(model):
     """The 0/1 points of a model's binomials, as bitmasks over its
     coordinates: a monomial is 1 there exactly when all of its support is."""

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -94,8 +95,12 @@ def test_enumeration_order_is_frozen():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
-@pytest.mark.parametrize("optimize", [0, 1], ids=["plain", "optimize"])
-def test_duplicate_stratum_check_fires(optimize):
+@pytest.mark.parametrize(
+    ("optimize", "dimension"),
+    [(0, None), (1, None), (0, 0), (1, 0)],
+    ids=["plain", "optimize", "plain-dimension-0", "optimize-dimension-0"],
+)
+def test_duplicate_stratum_check_fires(optimize, dimension):
     # an explicit raise, so python -O keeps it
     script = (
         "import sys\n"
@@ -103,7 +108,7 @@ def test_duplicate_stratum_check_fires(optimize):
         f"if sys.flags.optimize != {optimize}: sys.exit('wrong optimize level')\n"
         "enum_fiber = tree_pairs._enum_fiber.__wrapped__\n"
         "tree_pairs._enum_fiber.__wrapped__ = lambda *args: enum_fiber(*args) * 2\n"
-        "tree_pairs.enumerate_tree_pairs((2, 1))\n"
+        f"tree_pairs.enumerate_tree_pairs((2, 1), dimension={dimension})\n"
     )
     result = subprocess.run(
         [sys.executable, *(["-O"] if optimize else []), "-c", script],
@@ -134,6 +139,59 @@ def test_dimension_is_computed_once_per_stratum(monkeypatch):
     tp = calls[0]
     assert tp.dimension == stratum_dimension(tp)
     assert len(calls) == sum(F_VECTORS[(2, 1)])
+
+
+def test_dimension_is_computed_only_for_the_strata_kept(monkeypatch):
+    # the enumeration takes no choice past the requested dimension, so the
+    # 336 positive-dimensional strata of (2,1,1) are never built
+    calls = []
+
+    def counting(tp):
+        calls.append(tp)
+        return stratum_dimension(tp)
+
+    monkeypatch.setattr("linestrata.tree_pairs.stratum_dimension", counting)
+    assert len(enumerate_tree_pairs((2, 1, 1), dimension=0)) == 84
+    assert len(calls) == 84
+
+
+@pytest.mark.parametrize("dimension", [0, 1])
+def test_dimension_mismatch_raises(monkeypatch, dimension):
+    # the enumeration's dimension and stratum_dimension must agree; an
+    # explicit raise, not an assert statement
+    monkeypatch.setattr(
+        "linestrata.tree_pairs.stratum_dimension", lambda tp: stratum_dimension(tp) + 1
+    )
+    with pytest.raises(AssertionError, match="enumerated as dimension"):
+        enumerate_tree_pairs((2, 1), dimension=dimension)
+
+
+@pytest.mark.parametrize("dimension", [True, False, 0.0, 1.5, "0", b"0"])
+def test_dimension_must_be_an_integer(dimension):
+    with pytest.raises(ValueError, match="is not an integer"):
+        enumerate_tree_pairs((2, 1), dimension=dimension)
+
+
+def test_negative_dimension_gives_no_strata():
+    # a negative budget prunes every choice, the one-mark whole space too
+    for n in [(1,), (2, 1), (1, 1, 1)]:
+        assert enumerate_tree_pairs(n, dimension=-1) == []
+
+
+@pytest.mark.parametrize(
+    "n", [(2, 2, 1), (3, 1, 1), (1, 1, 1, 1)], ids=["2,2,1", "3,1,1", "1,1,1,1"]
+)
+def test_pruned_enumeration_matches_the_filtered_one_on_larger_types(n):
+    # the dimensions where pruning drops the most; the filtered full
+    # enumeration and the independent count recursion are the oracles
+    from linestrata.vpp import stratum_counts
+
+    everything = enumerate_tree_pairs(n)
+    counts = stratum_counts(n)
+    for d in (0, 1):
+        only = enumerate_tree_pairs(n, dimension=d)
+        assert only == [tp for tp in everything if tp.dimension == d], d
+        assert len(only) == counts[d], d
 
 
 @pytest.mark.parametrize("n", [(5,), (3, 2)], ids=["5", "3,2"])
@@ -461,12 +519,13 @@ def test_enumeration_caches_only_sub_fibers():
     gc.collect()
     assert all(ref() is None for ref in roots)
     # the full line set is the top-level key, and no entry has it: asking
-    # for it again is a miss (the sub-fibers are over proper parts)
+    # for it again, with the unbounded budget, is a miss (the sub-fibers
+    # are over proper parts)
     lines = (1, 2, 3)
     marks = tuple(Mark(i, j) for i in lines for j in range(1, n[i - 1] + 1))
     before = _enum_fiber.cache_info()
     assert before.currsize > 0
-    _enum_fiber(lines, (marks,))
+    _enum_fiber(lines, (marks,), math.inf)
     after = _enum_fiber.cache_info()
     assert after.misses == before.misses + 1
     assert after.hits > before.hits  # the sub-fibers are still there
