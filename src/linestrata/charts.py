@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import isfinite
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .exact_poly import MultiPoly
 from .trees import Bracket, StableTree, glue_tree
+
+if TYPE_CHECKING:
+    from .exact_poly import MultiPoly
 
 
 def _fraction(value: object) -> Fraction:
@@ -241,6 +243,10 @@ def gluing_polynomial(curve: StableCurve, rho, sigma) -> MultiPoly:
     Walking down from rho toward sigma, each step contributes the local
     position scaled by the product of the b-variables crossed so far.
     """
+    # the symbolic ring is the oracle's alone, so the chart commands,
+    # which evaluate numerically, never load it
+    from .exact_poly import MultiPoly
+
     tree = curve.tree
     rho = _as_vertex(tree, rho)
     sigma = _as_vertex(tree, sigma)
@@ -358,9 +364,9 @@ def evaluate_chart(
     return StableCurve._checked(new_tree, positions)
 
 
-def _normalized_pairs(values: Sequence, pins: tuple[int, int]) -> list[tuple[int, int]]:
-    """:func:`normalize_to_slice` as unreduced pairs (numerator, nonzero
-    denominator)."""
+def normalize_to_slice(values: Sequence, pins: tuple[int, int]) -> tuple[Fraction, ...]:
+    """Affine change of frame sending values[pins[0]] to 0 and
+    values[pins[1]] to 1."""
     pairs = [(x.numerator, x.denominator) for x in map(_fraction, values)]
     n0, d0 = pairs[pins[0]]
     n1, d1 = pairs[pins[1]]
@@ -368,13 +374,7 @@ def _normalized_pairs(values: Sequence, pins: tuple[int, int]) -> list[tuple[int
     span_n = n1 * d0 - n0 * d1
     if span_n == 0:
         raise ValueError("pinned positions coincide; no affine normalization")
-    return [((n * d0 - n0 * d) * d1, d * span_n) for n, d in pairs]
-
-
-def normalize_to_slice(values: Sequence, pins: tuple[int, int]) -> tuple[Fraction, ...]:
-    """Affine change of frame sending values[pins[0]] to 0 and
-    values[pins[1]] to 1."""
-    return tuple(Fraction(n, d) for n, d in _normalized_pairs(values, pins))
+    return tuple(Fraction((n * d0 - n0 * d) * d1, d * span_n) for n, d in pairs)
 
 
 def _anchor_leaf(
@@ -387,6 +387,15 @@ def _anchor_leaf(
     while len(vertex) > 1:
         vertex = slices[vertex][0]
     return next(iter(vertex))
+
+
+def _root_pins(
+    tree: StableTree, slices: Mapping[Bracket, tuple[Bracket, Bracket]]
+) -> tuple[int, int]:
+    """The 0-based leaves that the root's slice pins at 0 and 1: the
+    anchors of its two slice children."""
+    s0, s1 = slices[tree.root]
+    return _anchor_leaf(tree, slices, s0) - 1, _anchor_leaf(tree, slices, s1) - 1
 
 
 def invert_chart(
@@ -409,26 +418,27 @@ def invert_chart(
                 "chart inversion needs a 0-dimensional (binary) tree; "
                 f"vertex {sorted(rho)} has {tree.in_degree(rho)} children"
             )
-    return _inverted(tree, _complete_slices(tree, slices), leaf_positions)
+    slices = _complete_slices(tree, slices)
+    if len(leaf_positions) != tree.r:
+        raise ValueError("one position per leaf is required")
+    pins = _root_pins(tree, slices)
+    return _inverted(tree, slices, normalize_to_slice(leaf_positions, pins))
 
 
 def _inverted(
     tree: StableTree,
     slices: Mapping[Bracket, tuple[Bracket, Bracket]],
-    leaf_positions: Sequence,
+    normalized: Sequence[Fraction],
 ) -> dict[Bracket, Fraction]:
-    """:func:`invert_chart` on a binary tree, with checked slices."""
-    if len(leaf_positions) != tree.r:
-        raise ValueError("one position per leaf is required")
+    """:func:`invert_chart` on a binary tree, with checked slices, from one
+    position per leaf already in the root slice's frame (its
+    :func:`_root_pins` at 0 and 1)."""
 
     def anchor_value(vertex: Bracket) -> tuple[int, int]:
-        return normalized[_anchor_leaf(tree, slices, vertex) - 1]
+        x = normalized[_anchor_leaf(tree, slices, vertex) - 1]
+        return x.numerator, x.denominator
 
     root = tree.root
-    pin0 = _anchor_leaf(tree, slices, slices[root][0]) - 1
-    pin1 = _anchor_leaf(tree, slices, slices[root][1]) - 1
-    normalized = _normalized_pairs(leaf_positions, (pin0, pin1))
-
     # scales as unreduced pairs (numerator, nonzero denominator)
     scale: dict[Bracket, tuple[int, int]] = {root: (1, 1)}
     out: dict[Bracket, Fraction] = {}
@@ -479,9 +489,7 @@ def transition_check(
     curve2 = pinned_curve(tree2, slices2)
     # checked once here, so that the samples invert without checking again
     slices2 = _complete_slices(tree2, slices2)
-    root2 = tree2.root
-    pin0 = _anchor_leaf(tree2, slices2, slices2[root2][0]) - 1
-    pin1 = _anchor_leaf(tree2, slices2, slices2[root2][1]) - 1
+    pins = _root_pins(tree2, slices2)
     free1 = [v for v in tree1.interior_vertices() if v != tree1.root]
 
     rng = random.Random(seed)
@@ -497,7 +505,7 @@ def transition_check(
         try:
             glued = evaluate_chart(curve1, b1)
             leaf_row = glued.positions[glued.tree.root]
-            target = normalize_to_slice(leaf_row, (pin0, pin1))
+            target = normalize_to_slice(leaf_row, pins)
             b2 = _inverted(tree2, slices2, target)
             if 0 in b2.values():
                 continue

@@ -212,7 +212,7 @@ def _check_one_model(
     model = canonical_generators(tp)
     shape = (model.n_coords, len(model.generators))
     try:
-        model.witness_plan  # with the incidence pattern, kept for the witnesses
+        model.incidence  # with the witness plan, kept for the witnesses
     except ValueError as exc:
         return index, f"incidence pattern violated: {exc}", *shape
     if not lattice_span_equal(model, coherence_generators(tp)):

@@ -6,9 +6,10 @@ sublattice of matching relations two ways (the raw matching vectors and a
 triangular canonical set).  Each relation is a binomial, and the local poset
 is the set of their 0/1 points, one per nearby stratum: the torus orbits of
 an affine toric variety (Fulton, *Introduction to Toric Varieties*, 3.1).
-The module also compares spans and tests saturation, both by one integer
-diagonalisation, and solves the difference-constraint systems that certify
-nonnegative representatives.
+A model's generators are one integer matrix, checked once and read as it
+is.  Spans and saturation come from one integer diagonalisation; one pass
+over the columns checks the incidence pattern and yields the witness plan,
+whose difference-constraint systems certify nonnegative representatives.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
+from ._combi import as_integer
 from .tree_pairs import (
     Component,
     TreePair,
@@ -46,11 +48,13 @@ class IncidencePatternError(ValueError):
 class LatticeModel:
     """A tuple of named integer coordinates plus relation generators.
 
-    seam_columns marks which coordinates belong to seam brackets; rows with
-    a +1 there are seam-contraction relations, which matters for the
-    incidence analysis.  The incidence pattern, the witness plan and the
-    diagonal form depend on the model alone, so each is computed on first
-    use and kept.
+    The generators are checked once, on construction, and kept as a tuple
+    of int tuples, the one form every reader takes them in.  seam_columns
+    marks which coordinates belong to seam brackets; rows with a +1 there
+    are seam-contraction relations, which matters for the incidence
+    analysis.  The incidence pattern (with the witness plan read off it)
+    and the diagonal form depend on the model alone, so each is computed on
+    first use and kept.
     """
 
     names: tuple[str, ...]
@@ -60,6 +64,7 @@ class LatticeModel:
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
             raise ValueError("coordinate names must be distinct")
+        object.__setattr__(self, "generators", _integer_rows(self.generators))
         for gen in self.generators:
             if len(gen) != len(self.names):
                 raise ValueError("generator length does not match coordinate count")
@@ -77,14 +82,9 @@ class LatticeModel:
         return _incidence(self)
 
     @cached_property
-    def witness_plan(self):
-        """:func:`_witness_plan` of the model; raises on a bad pattern."""
-        return _witness_plan(self)
-
-    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         """:func:`_diagonal` of the generators."""
-        return tuple(_diagonal(_generator_rows(self)))
+        return tuple(_diagonal(self.generators))
 
 
 def lattice_coordinates(tp: TreePair) -> list[CoordKey]:
@@ -261,14 +261,22 @@ def coherence_generators(tp: TreePair) -> LatticeModel:
 # ---------------------------------------------------------------------------
 
 
-def _generator_rows(obj) -> list[tuple[int, ...]]:
+def _integer_rows(gens: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows as int tuples; a bool, float or string entry is refused, not
+    truncated, by :func:`_combi.as_integer`.  Rows of plain ints, the usual
+    case, pass one C-level type scan."""
+    rows = tuple(map(tuple, gens))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = tuple(tuple(as_integer(v, "generator entry") for v in r) for r in rows)
+    return rows
+
+
+def _generator_rows(obj) -> Sequence[tuple[int, ...]]:
+    """A model's checked rows, or a plain family's, checked here."""
     if isinstance(obj, LatticeModel):
-        gens: Iterable[Sequence[int]] = obj.generators
-    else:
-        gens = obj
-    rows = [tuple(int(v) for v in g) for g in gens]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
+        return obj.generators
+    rows = _integer_rows(obj)
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("generators have inconsistent lengths")
     return rows
 
@@ -323,12 +331,9 @@ def _diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     return diagonal
 
 
-def _diagonal_of(obj, rows: Sequence[Sequence[int]] | None = None) -> Sequence[int]:
-    """:func:`_diagonal` of a generator family, whose rows may be given
-    when already read; a model keeps its own."""
-    if isinstance(obj, LatticeModel):
-        return obj.diagonal
-    return _diagonal(_generator_rows(obj) if rows is None else rows)
+def _diagonal_of(obj, rows: Sequence[Sequence[int]]) -> Sequence[int]:
+    """:func:`_diagonal` of a generator family read as rows; a model keeps its own."""
+    return obj.diagonal if isinstance(obj, LatticeModel) else _diagonal(rows)
 
 
 def lattice_span_equal(first, second) -> bool:
@@ -353,7 +358,8 @@ def lattice_span_equal(first, second) -> bool:
 def lattice_is_saturated(model_or_generators) -> bool:
     """Whether the generated sublattice is saturated in Z^n (the quotient is
     torsion-free): every nonzero diagonal entry must be 1."""
-    return all(d == 1 for d in _diagonal_of(model_or_generators))
+    rows = _generator_rows(model_or_generators)
+    return all(d == 1 for d in _diagonal_of(model_or_generators, rows))
 
 
 def _monomial_string(factors: list[tuple[str, int]]) -> str:
@@ -575,15 +581,19 @@ def solve_difference_constraints(system: DiffConstraintSystem) -> SolveResult:
 
 
 def _incidence(model: LatticeModel):
-    """Row signs and per-column hits for a canonical generator matrix.
+    """Row signs and the witness plan of a canonical generator matrix.
 
     Validates the shape that makes nonnegativity solvable as differences:
     entries in {-1, 0, 1}; each seam column hit at most once, positively;
     each screen column hit at most twice.  Rows with a seam hit count as
     negated (their coefficient variable flips sign), after which every
     twice-hit column must carry +1 on the earlier row and -1 on the later.
-    Returns (signs, hits) where hits maps column -> ((row, entry), ...) in
-    the sign-adjusted space.
+
+    Returns (signs, (untouched, once, twice)), the plan telling how each
+    coordinate of x enters a witness system, each list in column order:
+    (column, name) for each column no generator touches, (column, row,
+    entry) for each column one row touches, with the sign-adjusted entry,
+    and (column, r1, r2) for each column two rows touch.
     """
     gens = model.generators
     for row, gen in enumerate(gens):
@@ -604,54 +614,30 @@ def _incidence(model: LatticeModel):
             )
         signs.append(-1 if seam_hits else 1)
 
-    hits: dict[int, tuple[tuple[int, int], ...]] = {}
+    untouched, once, twice = [], [], []
     for col in range(model.n_coords):
         touching = [
-            (row, gen[col] * signs[row])
-            for row, gen in enumerate(gens)
-            if gen[col] != 0
+            (row, gen[col] * signs[row]) for row, gen in enumerate(gens) if gen[col]
         ]
-        if col in model.seam_columns:
-            if len(touching) > 1:
-                raise IncidencePatternError(
-                    f"seam column {col} is touched by several rows"
-                )
-        elif len(touching) > 2:
+        if col in model.seam_columns and len(touching) > 1:
+            raise IncidencePatternError(f"seam column {col} is touched by several rows")
+        if len(touching) > 2:
             raise IncidencePatternError(
                 f"column {col} is touched by {len(touching)} rows"
             )
-        elif len(touching) == 2:
+        if not touching:
+            untouched.append((col, model.names[col]))
+        elif len(touching) == 1:
+            once.append((col, *touching[0]))
+        else:
             (r1, e1), (r2, e2) = touching
             if (e1, e2) != (1, -1):
                 raise IncidencePatternError(
                     f"column {col} has adjusted entries ({e1}, {e2}) on rows "
                     f"({r1}, {r2}); expected (1, -1)"
                 )
-        if touching:
-            hits[col] = tuple(touching)
-    return tuple(signs), hits
-
-
-def _witness_plan(model: LatticeModel):
-    """How each coordinate of x enters a witness system, read off the
-    incidence pattern once per model, each list in column order.
-
-    Returns (untouched, once, twice): (column, name) for each column no
-    generator touches, (column, row, entry) for each column one row touches,
-    and (column, r1, r2) for each column two rows touch.
-    """
-    _, hits = model.incidence
-    untouched, once, twice = [], [], []
-    for col in range(model.n_coords):
-        touching = hits.get(col, ())
-        if not touching:
-            untouched.append((col, model.names[col]))
-        elif len(touching) == 1:
-            once.append((col, *touching[0]))
-        else:
-            (r1, _), (r2, _) = touching
             twice.append((col, r1, r2))
-    return tuple(untouched), tuple(once), tuple(twice)
+    return tuple(signs), (tuple(untouched), tuple(once), tuple(twice))
 
 
 def build_witness_system(model: LatticeModel, x: Sequence[int]):
@@ -663,13 +649,12 @@ def build_witness_system(model: LatticeModel, x: Sequence[int]):
     that are negative yet untouched by every generator; the system is
     feasible together with empty violations exactly when a witness exists.
     A column touched once bounds its row's coefficient, one touched twice
-    bounds the difference of its rows' (see :func:`_witness_plan`).
+    bounds the difference of its rows' (see :func:`_incidence`).
     """
     x = tuple(map(int, x))
     if len(x) != model.n_coords:
         raise ValueError("x must have one entry per coordinate")
-    signs, _ = model.incidence
-    untouched, once, twice = model.witness_plan
+    signs, (untouched, once, twice) = model.incidence
     m = len(model.generators)
     lower: list[int | float] = [NEG_INF] * m
     upper: list[int | float] = [POS_INF] * m

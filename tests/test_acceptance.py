@@ -37,7 +37,6 @@ from linestrata.tree_pairs import (
     enumerate_tree_pairs,
     f_vector,
     poset_leq_tree_pair,
-    stratum_dimension,
     tree_pair_to_two_bracketing,
 )
 from linestrata.trees import (
@@ -239,9 +238,7 @@ def test_criterion_07_local_models_sweep():
         rng = random.Random(2024)
         models = 0
         for n in _compositions_up_to(6):
-            for tp in enumerate_tree_pairs(n):
-                if stratum_dimension(tp) != 0:
-                    continue
+            for tp in enumerate_tree_pairs(n, dimension=0):
                 lattice = canonical_generators(tp)
                 _incidence(lattice)  # raises on any pattern violation
                 assert lattice_span_equal(lattice, coherence_generators(tp))
@@ -263,6 +260,7 @@ def test_criterion_07_local_models_sweep():
                     assert all(v >= 0 for v in shifted)
                 models += 1
         assert models >= 500
+        assert models == 1593
     except BaseException:
         _report_fail(7, desc)
         raise

@@ -10,6 +10,7 @@ pattern.  Each fixture also gives the paper's column order and names, which
 
 import math
 import random
+import re
 
 import pytest
 
@@ -367,6 +368,31 @@ def test_lattice_checks_validate_shapes():
         lattice_is_saturated([[1, 0], [1]])
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1", 1.0])
+def test_generator_entries_must_be_integers(entry):
+    # a bool, float or string entry is refused, not truncated: by the
+    # lattice checks on a plain family, and by a model on construction, so
+    # that every reader of a model sees the same integer rows
+    message = re.escape(f"generator entry {entry!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        lattice_is_saturated([[entry, 0]])
+    with pytest.raises(ValueError, match=message):
+        lattice_span_equal([[entry, 0]], [[1, 0]])
+    with pytest.raises(ValueError, match=message):
+        lattice_span_equal([[1, 0]], [[0, 1], [entry, 0]])
+    with pytest.raises(ValueError, match=message):
+        LatticeModel(names=("a", "b"), generators=((entry, 0),))
+
+
+def test_model_keeps_its_rows_as_int_tuples():
+    model = LatticeModel(names=("a", "b"), generators=[[1, -1], (0, 0)])
+    assert model.generators == ((1, -1), (0, 0))
+    assert all(type(row) is tuple for row in model.generators)
+    # the lattice checks read a model's rows as they are
+    assert lattice_span_equal(model, [[1, -1]])
+    assert lattice_is_saturated(model)
+
+
 # ---------------------------------------------------------------------------
 # incidence pattern and sweep over small 0-dimensional strata
 # ---------------------------------------------------------------------------
@@ -412,10 +438,11 @@ def test_small_sweep_span_saturation_incidence():
 
 
 def _reference_witness_system(model, x):
-    """build_witness_system as one pass over the columns, each looked up
-    in the incidence pattern: the reference for the model's witness plan."""
+    """build_witness_system as one pass over the columns, each column's
+    touching rows read off the generators and the row signs: the reference
+    for the witness plan that the model's incidence pattern carries."""
     x = tuple(int(v) for v in x)
-    signs, hits = model.incidence
+    signs, _ = model.incidence
     m = len(model.generators)
     lower = [NEG_INF] * m
     upper = [POS_INF] * m
@@ -423,7 +450,11 @@ def _reference_witness_system(model, x):
     violations = []
     for col in range(model.n_coords):
         value = x[col]
-        touching = hits.get(col, ())
+        touching = [
+            (row, gen[col] * signs[row])
+            for row, gen in enumerate(model.generators)
+            if gen[col]
+        ]
         if not touching:
             if value < 0:
                 violations.append(
@@ -471,7 +502,7 @@ def test_witness_plan_matches_the_column_loop():
                 model, x
             ), (model, x)
     # every kind of column occurs
-    plans = [model.witness_plan for model in models]
+    plans = [model.incidence[1] for model in models]
     assert all(any(plan[kind] for plan in plans) for kind in range(3))
 
 

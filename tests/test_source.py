@@ -3,9 +3,12 @@
 import ast
 import doctest
 import importlib
+import re
+import shlex
 from pathlib import Path
 
 import linestrata
+from linestrata.cli import run
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "linestrata"
 README = SOURCE.parents[1] / "README.md"
@@ -17,6 +20,36 @@ def test_readme_tour_runs():
     failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
     assert attempted >= 7
     assert failed == 0
+
+
+def _shell_session() -> list[tuple[str, str]]:
+    """The ``$ `` commands of the README's sh blocks, each with the text
+    printed under it up to the next command or the end of its block,
+    trailing blank lines left out."""
+    steps = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S):
+        for step in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, text = step.partition("\n")
+            steps.append((command, text.rstrip("\n")))
+    return steps
+
+
+def test_readme_shell_session_runs(tmp_path, monkeypatch, capsys):
+    # each `$ cat` block is a file the later commands read, and each
+    # `$ linestrata` command prints exactly the lines under it
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for command, text in _shell_session():
+        program, *argv = shlex.split(command)
+        if program == "cat":
+            (tmp_path / argv[0]).write_text(text + "\n")
+            continue
+        assert program == "linestrata", command
+        assert run(argv) == 0, command
+        out, err = capsys.readouterr()
+        assert (out, err) == (text + "\n", ""), command
+        ran += 1
+    assert ran == 8
 
 
 def test_no_assert_statements():
