@@ -46,6 +46,15 @@ def as_integer(value: object, what: str) -> int:
     return index(value)
 
 
+def as_integers(values: Iterable[object], what: str) -> Vector:
+    """values as a tuple of ints, each entry by :func:`as_integer`, named
+    as what.  Plain ints, the usual case, pass one C-level type scan."""
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        out = tuple(as_integer(v, what) for v in out)
+    return out
+
+
 def line_count(r: int) -> int:
     """The line count r >= 1 as an int; raises ValueError, like
     :func:`type_vector`, on a bool, float or string."""

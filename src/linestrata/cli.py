@@ -330,6 +330,8 @@ def _cmd_chart_eval(args: argparse.Namespace) -> int:
         glued = evaluate_chart(curve, glue, slices=slices)
     except (KeyError, ValueError) as exc:
         return _fail(_reason(exc))
+    except RecursionError as exc:  # json.load reads deeper from Python 3.12 on
+        return _fail(f"cannot read chart spec: {exc}")
     if args.format == "json":
         _emit_json(glued.to_json())
     else:
@@ -354,6 +356,8 @@ def _cmd_transition_check(args: argparse.Namespace) -> int:
         slices2 = _parse_slices(json_entry(spec, "slices2", "transition spec"))
     except (KeyError, ValueError) as exc:
         return _fail(_reason(exc))
+    except RecursionError as exc:  # as in chart-eval
+        return _fail(f"cannot read transition spec: {exc}")
     try:
         report = transition_check(
             tree1,

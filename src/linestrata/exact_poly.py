@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
+from ._combi import as_integers
+
 __all__ = [
     "UniPoly",
     "MultiPoly",
@@ -43,7 +45,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(as_integers(coeffs, "coefficient"))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -395,21 +397,18 @@ def multi_eval(p: MultiPoly, assignment: Mapping[str, Scalar]) -> Fraction:
     return total
 
 
-def monomial_content_split(
-    p: MultiPoly, variables: Iterable[str] | None = None
-) -> tuple[dict[str, int], MultiPoly]:
+def monomial_content_split(p: MultiPoly) -> tuple[dict[str, int], MultiPoly]:
     """Split p as (monomial content) * (reduced part).
 
-    The content is the largest monomial in the given variables (all variables
-    when omitted) dividing every term of p; the reduced part is p with that
-    monomial divided out, so from_monomial(content) * reduced == p.
+    The content is the largest monomial dividing every term of p; the
+    reduced part is p with that monomial divided out, so
+    from_monomial(content) * reduced == p.
     """
     if p.is_zero():
         raise ValueError("content of the zero polynomial is undefined")
-    restrict = None if variables is None else {str(v) for v in variables}
     content: dict[str, int] | None = None
     for mono in p.terms:
-        exps = {v: e for v, e in mono if restrict is None or v in restrict}
+        exps = dict(mono)
         if content is None:
             content = exps
         else:

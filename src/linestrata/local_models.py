@@ -17,16 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Sequence
 
-from ._combi import as_integer
-from .tree_pairs import (
-    Component,
-    TreePair,
-    tree_pair_to_two_bracketing,
-    two_bracketing_to_tree_pair,
-)
+from ._combi import as_integer, as_integers
+from .tree_pairs import Component, TreePair, two_bracketing_to_tree_pair
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -64,7 +59,8 @@ class LatticeModel:
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
             raise ValueError("coordinate names must be distinct")
-        object.__setattr__(self, "generators", _integer_rows(self.generators))
+        rows = tuple(as_integers(row, "generator entry") for row in self.generators)
+        object.__setattr__(self, "generators", rows)
         for gen in self.generators:
             if len(gen) != len(self.names):
                 raise ValueError("generator length does not match coordinate count")
@@ -240,7 +236,12 @@ def coherence_generators(tp: TreePair) -> LatticeModel:
     """All matching relations: a path difference for every pair of splitting
     screens over the same bracket, and a seam-versus-path relation for every
     splitting screen over a non-root bracket."""
-    screens, parent, split_above, groups = _screen_walk(tp)
+    return _coherence_model(tp, _screen_walk(tp))
+
+
+def _coherence_model(tp: TreePair, walk) -> LatticeModel:
+    """:func:`coherence_generators` from the stratum's :func:`_screen_walk`."""
+    screens, parent, split_above, groups = walk
     root_lines = frozenset(range(1, tp.r + 1))
     relations = []
     for group in groups.values():
@@ -261,21 +262,12 @@ def coherence_generators(tp: TreePair) -> LatticeModel:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(gens: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows as int tuples; a bool, float or string entry is refused, not
-    truncated, by :func:`_combi.as_integer`.  Rows of plain ints, the usual
-    case, pass one C-level type scan."""
-    rows = tuple(map(tuple, gens))
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        rows = tuple(tuple(as_integer(v, "generator entry") for v in r) for r in rows)
-    return rows
-
-
 def _generator_rows(obj) -> Sequence[tuple[int, ...]]:
-    """A model's checked rows, or a plain family's, checked here."""
+    """A model's checked rows, or a plain family's, checked here like a
+    model's: a bool, float or string entry is refused, not truncated."""
     if isinstance(obj, LatticeModel):
         return obj.generators
-    rows = _integer_rows(obj)
+    rows = tuple(as_integers(row, "generator entry") for row in obj)
     if len({len(r) for r in rows}) > 1:
         raise ValueError("generators have inconsistent lengths")
     return rows
@@ -435,13 +427,15 @@ def local_poset_elements(tp: TreePair) -> list[tuple[tuple[int, ...], tuple[int,
 def glue_tree_pair(tp: TreePair, q: Sequence[int], r: Sequence[int]) -> TreePair:
     """Glue: screens with q = 1 melt into their parents, seam vertices with
     r = 1 contract; (q, r) must be a 0/1 point of the relations of
-    :func:`coherence_generators`."""
-    model = coherence_generators(tp)
-    coords = lattice_coordinates(tp)
+    :func:`coherence_generators`.  The glued stratum's bracketing is the
+    stratum's less the 2-brackets of the melted screens and the brackets of
+    the contracted seam vertices."""
+    walk = _screen_walk(tp)
+    model = _coherence_model(tp, walk)
     n_r = len(model.seam_columns)
     n_q = model.n_coords - n_r
-    qt = tuple(int(v) for v in q)
-    rt = tuple(int(v) for v in r)
+    qt = as_integers(q, "q entry")
+    rt = as_integers(r, "r entry")
     if len(qt) != n_q or any(v not in (0, 1) for v in qt):
         raise ValueError(f"q must be a 0/1 vector of length {n_q}")
     if len(rt) != n_r or any(v not in (0, 1) for v in rt):
@@ -450,17 +444,14 @@ def glue_tree_pair(tp: TreePair, q: Sequence[int], r: Sequence[int]) -> TreePair
     if broken is not None:
         relation = model_defining_relations(model)[broken]
         raise ValueError(f"incoherent gluing data: breaks {relation}")
-    keep_one = {tp.seam_tree.root, *(frozenset({i}) for i in range(1, tp.r + 1))}
-    # the marks' own 2-brackets survive, and so does every screen kept,
-    # the root always
-    _, two = tree_pair_to_two_bracketing(tp)
-    surviving_two = {tb for tb in two if len(tb[0]) == 1 and len(tb[1]) == 1}
-    for (kind, key), v in zip([("comp", tp.root), *coords], (0, *qt, *rt)):
-        if v == 0 and kind == "seam":
-            keep_one.add(key)
-        elif v == 0:
-            surviving_two.add((key.lines, key.subtree_marks()))
-    return two_bracketing_to_tree_pair(tp.n, keep_one, surviving_two)
+    one, two = tp.two_bracketing
+    # q runs over the non-root screens in walk order, r over the non-root
+    # interior seam vertices in preorder
+    contracted = (b for b, v in zip(tp.seam_tree.interior_vertices()[1:], rt) if v)
+    melted = ((c.lines, c.subtree_marks()) for c, v in zip(walk[0][1:], qt) if v)
+    return two_bracketing_to_tree_pair(
+        tp.n, one.difference(contracted), two.difference(melted)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +476,12 @@ class DiffConstraintSystem:
     def __post_init__(self) -> None:
         if len(self.lower) != self.n or len(self.upper) != self.n:
             raise ValueError("bound vectors must have length n")
-        for i, j, c in self.diffs:
+        for i, j, _ in self.diffs:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"difference indices must satisfy 0 <= i < j < n, got ({i}, {j})")
-            if not isinstance(c, int):
-                raise ValueError("difference bounds must be integers")
-        for value in (*self.lower, *self.upper):
-            if value in (NEG_INF, POS_INF):
-                continue
-            if not isinstance(value, int):
-                raise ValueError("box bounds must be integers or infinite sentinels")
+        as_integers([c for _, _, c in self.diffs], "difference bound")
+        bounds = (*self.lower, *self.upper)
+        as_integers([v for v in bounds if v not in (NEG_INF, POS_INF)], "box bound")
 
     def satisfied_by(self, point: Sequence[int]) -> bool:
         if len(point) != self.n:
@@ -651,7 +638,7 @@ def build_witness_system(model: LatticeModel, x: Sequence[int]):
     A column touched once bounds its row's coefficient, one touched twice
     bounds the difference of its rows' (see :func:`_incidence`).
     """
-    x = tuple(map(int, x))
+    x = as_integers(x, "x entry")
     if len(x) != model.n_coords:
         raise ValueError("x must have one entry per coordinate")
     signs, (untouched, once, twice) = model.incidence
@@ -688,10 +675,11 @@ def monoid_saturation_witness(
     fails), and AssertionError in the impossible case that k*x has one
     while x does not.
     """
-    x = tuple(map(int, x))
+    x = as_integers(x, "x entry")
     if len(x) != model.n_coords:
         raise ValueError("x must have one entry per coordinate")
-    if not isinstance(k, int) or k < 1:
+    k = as_integer(k, "k")
+    if k < 1:
         raise ValueError("k must be a positive integer")
     if all(v >= 0 for v in x):
         return (0,) * len(model.generators)

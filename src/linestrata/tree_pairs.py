@@ -26,10 +26,13 @@ groups.  The groups over a fat part, pooled across all screens, are the
 factors of one smaller fiber over the part.
 
 Strata are alternatively encoded as bracketings: the seam tree's laminar
-family plus, for every screen, the pair (line set, set of marks below it).
-The dictionary between the two encodings is implemented here and gives the
-degeneration order.  A stratum's neighbourhood (its lattice model, local
-poset and gluing) lives in :mod:`linestrata.local_models`.
+family plus a 2-bracket (line set, set of marks below it) for every screen
+and every mark.  The dictionary between the two encodings is implemented
+here and gives the degeneration order; a stratum is read back from its
+bracketing in one pass, fewest marks first, in which each 2-bracket adopts
+its children.  Gluing deletes brackets.  A stratum's neighbourhood (its
+lattice model, local poset and gluing) lives in
+:mod:`linestrata.local_models`.
 """
 from __future__ import annotations
 
@@ -570,7 +573,14 @@ def two_bracketing_to_tree_pair(
     one_brackets: Iterable[Bracket],
     two_brackets: Iterable[TwoBracket],
 ) -> TreePair:
-    """Rebuild the stratum from its bracketings; validates the result."""
+    """Rebuild the stratum from its bracketings; validates the result.
+
+    One pass over the 2-brackets, fewest marks first and then fewest
+    lines, as :func:`~linestrata.trees.StableTree` reads its brackets: each
+    2-bracket adopts the largest 2-brackets so far around its marks, which
+    are its children.  A mark's own 2-bracket is the mark.  A 2-bracket
+    that does not contain one it would adopt overlaps it, and is refused.
+    """
     nt = type_vector(n)
     r = len(nt)
     tree = StableTree(r, one_brackets)
@@ -582,65 +592,49 @@ def two_bracketing_to_tree_pair(
         if (tree.brackets, frozenset(tbs)) != tree_pair_to_two_bracketing(top):
             raise ValueError("bracketings of type (1,) other than the top stratum's")
         return top
-    full = frozenset(range(1, r + 1))
-    all_marks = frozenset(marks(nt))
-    root_tb = (full, all_marks)
+    all_marks = marks(nt)
+    root_tb = (frozenset(range(1, r + 1)), frozenset(all_marks))
     if root_tb not in tbs:
         raise ValueError("missing root 2-bracket")
 
-    children_of: dict[TwoBracket, list[TwoBracket]] = {tb: [] for tb in tbs}
+    # the largest 2-bracket so far around each mark, from its own
+    leaf = {(frozenset({m.line}), frozenset({m})): m for m in all_marks}
+    largest = {m: tb for tb, m in leaf.items() if tb in tbs}
+    children: dict[TwoBracket, list[TwoBracket]] = {}
+    adopted: set[TwoBracket] = set()
+    for tb in sorted(tbs.difference(leaf), key=lambda tb: (len(tb[1]), len(tb[0]))):
+        kids = children[tb] = []
+        for mark in tb[1]:
+            child = largest.get(mark)
+            if child is not None and child not in adopted:
+                if not _tb_contains(tb, child):
+                    raise ValueError(f"2-brackets {tb} and {child} overlap")
+                adopted.add(child)
+                kids.append(child)
+            largest[mark] = tb
     for tb in tbs:
-        if tb == root_tb:
-            continue
-        parents = [
-            other
-            for other in tbs
-            if other != tb and _tb_contains(other, tb)
-        ]
-        if not parents:
+        if tb not in adopted and tb != root_tb:
             raise ValueError(f"2-bracket {tb} has no parent")
-        parent = min(parents, key=lambda p: (len(p[0]), len(p[1])))
-        children_of[parent].append(tb)
 
-    def is_point(tb: TwoBracket) -> bool:
-        return len(tb[0]) == 1 and len(tb[1]) == 1 and not children_of[tb]
-
-    def build(tb: TwoBracket) -> Component:
-        lines, _ = tb
-        kids = children_of[tb]
-        built: list[Component | Mark] = []
-        kid_lines: list[frozenset[int]] = []
-        for kid in sorted(kids, key=lambda t: (sorted(t[0]), sorted(t[1]))):
-            if is_point(kid):
-                (mk,) = kid[1]
-                built.append(Mark(*mk))
-                kid_lines.append(kid[0])
-            else:
-                built.append(build(kid))
-                kid_lines.append(kid[0])
-        if all(kl == lines for kl in kid_lines):
+    def build(tb: TwoBracket) -> Component | Mark:
+        if tb in leaf:
+            return leaf[tb]
+        lines = tb[0]
+        kids = children[tb]
+        built = [build(kid) for kid in kids]
+        if all(kid[0] == lines for kid in kids):
             return Component(lines, (Seam(lines, _sorted_children(built)),))
-        if any(kl == lines for kl in kid_lines):
-            raise ValueError(
-                f"screen over {sorted(lines)} mixes same-line and split children"
-            )
-        if lines not in tree.brackets or len(lines) < 2:
+        if lines not in tree.brackets:
             raise ValueError(
                 f"splitting screen over {sorted(lines)} has no seam-tree vertex"
             )
-        parts = tree.children(lines)
-        seams = []
-        for part in parts:
-            members = [
-                child
-                for child, kl in zip(built, kid_lines)
-                if kl <= part
-            ]
-            seams.append(Seam(part, _sorted_children(members)))
-        placed = sum(len(s.children) for s in seams)
-        if placed != len(built):
+        seams = tuple(
+            Seam(part, _sorted_children(b for b, kid in zip(built, kids) if kid[0] <= part))
+            for part in tree.children(lines)
+        )
+        if sum(len(s.children) for s in seams) != len(built):
             raise ValueError("child screen does not fit any branch")
-        return Component(lines, tuple(seams))
+        return Component(lines, seams)
 
     tp = TreePair(nt, tree, build(root_tb))
     validate_tree_pair(tp)

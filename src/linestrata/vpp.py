@@ -111,8 +111,8 @@ into groups, screens, clusters and sub-screens, of lines into parts), a
 count-vector partition of multiplicity m standing for m labelled choices.
 Read from the root screen down, a stratum (a seam tree with a screen tree,
 see :mod:`~linestrata.tree_pairs`) makes exactly one such choice at every
-level, and every choice is made by exactly one stratum; the single-line and
-single-mark shortcuts of ``_fiber`` are isomorphisms of stratified spaces.
+level, and every choice is made by exactly one stratum; the single-line
+case of ``_fiber`` is an isomorphism of stratified spaces.
 The terms of a screen distribution's p_k = ``_fiber(k, ())`` are exactly
 the hierarchies above its k screens, so the bijection still holds there.
 :func:`~linestrata.tree_pairs.enumerate_tree_pairs` lists the same terms:
@@ -494,10 +494,6 @@ def _fiber(ring, r: int, factors: tuple[Vector, ...]):
         for f in factors:
             out = out * _fiber(ring, sum(f), ())
         return out
-    if factors and all(sum(f) == 1 for f in factors):
-        # a single-mark factor is isomorphic to the base, so the fiber
-        # product of only such factors is the base itself
-        return _fiber(ring, r, ())
     return _fiber_sum(ring, r, factors)
 
 

@@ -633,6 +633,39 @@ def test_check_local_model_cross_checks_the_stratum_count(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_check_local_model_reports_failures(fmt, monkeypatch, capsys):
+    from linestrata import local_models
+    from linestrata.tree_pairs import enumerate_tree_pairs
+
+    canonical_generators = local_models.canonical_generators
+    broken = enumerate_tree_pairs((2, 1), dimension=0)[1]
+
+    def doubled(tp):
+        # the second model's rows doubled: its entries leave -1..1
+        model = canonical_generators(tp)
+        if tp != broken:
+            return model
+        rows = tuple(tuple(2 * v for v in row) for row in model.generators)
+        return local_models.LatticeModel(model.names, rows, model.seam_columns)
+
+    monkeypatch.setattr(local_models, "canonical_generators", doubled)
+    assert run(["check-local-model", "2,1", "--trials", "3", "--format", fmt]) == 1
+    out, err = out_of(capsys)
+    assert err == ""
+    message = "incidence pattern violated: entry 2 at row 0, column 0 is not in -1..1"
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["models"], payload["failures"]) == (4, 1)
+        assert payload["results"][1] == {"model": 1, "ok": False, "message": message}
+        assert [entry["ok"] for entry in payload["results"]] == [True, False, True, True]
+    else:
+        lines = out.splitlines()
+        assert lines[1] == f"model 1: FAIL - {message}"
+        assert [": ok (" in line for line in lines[:4]] == [True, False, True, True]
+        assert lines[4:] == ["checked 4 models: 1 failure(s)"]
+
+
 def test_check_local_model_computes_each_fact_once_per_model(monkeypatch, capsys):
     from linestrata import local_models
 

@@ -117,6 +117,13 @@ def test_multipoly_arithmetic_matches_evaluation():
         assert multi_eval(p - q, point) == multi_eval(p, point) - multi_eval(q, point)
 
 
+@pytest.mark.parametrize("coeffs, entry", [([1.5, "3"], "1.5"), ([1, "3"], "'3'"), ([True], "True")])
+def test_unipoly_coefficients_must_be_integers(coeffs, entry):
+    # refused, not truncated: UniPoly([1.5, "3"]) once read as UniPoly([1, 3])
+    with pytest.raises(ValueError, match=f"coefficient {entry} is not an integer"):
+        UniPoly(coeffs)
+
+
 def test_monomial_content_split():
     a = MultiPoly.variable("a")
     b = MultiPoly.variable("b")

@@ -18,6 +18,7 @@ from linestrata.local_models import (
     NEG_INF,
     POS_INF,
     DiffConstraintSystem,
+    IncidencePatternError,
     LatticeModel,
     _incidence,
     _lattice_model,
@@ -398,6 +399,28 @@ def test_model_keeps_its_rows_as_int_tuples():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "generators, seam_columns, error",
+    [
+        (((2, 0),), (), "entry 2 at row 0, column 0 is not in -1..1"),
+        (((1, 1, 1),), (1, 2), "row 0 touches several seam columns"),
+        (((1, -1),), (1,), "row 0 must carry +1 on seam column 1"),
+        (((1, 1), (0, 1)), (1,), "seam column 1 is touched by several rows"),
+        (((1,), (1,), (-1,)), (), "column 0 is touched by 3 rows"),
+        (
+            ((-1,), (1,)),
+            (),
+            "column 0 has adjusted entries (-1, 1) on rows (0, 1); expected (1, -1)",
+        ),
+    ],
+)
+def test_incidence_pattern_violations(generators, seam_columns, error):
+    names = tuple("abc"[: len(generators[0])])
+    model = LatticeModel(names, generators, frozenset(seam_columns))
+    with pytest.raises(IncidencePatternError, match=re.escape(error)):
+        model.incidence
+
+
 def sweep_types(limit):
     out = []
     for r in range(1, limit):
@@ -568,6 +591,39 @@ def test_solver_validates_input():
         DiffConstraintSystem(n=2, diffs=((1, 0, 2),), lower=(0, 0), upper=(1, 1))
     with pytest.raises(ValueError):
         DiffConstraintSystem(n=2, diffs=((0, 0, 2),), lower=(0, 0), upper=(1, 1))
+
+
+def test_solver_bounds_must_be_integers():
+    # bounds are integers or, in the box, the infinite sentinels; a bool or
+    # float is refused like any other non-integer
+    DiffConstraintSystem(n=2, diffs=((0, 1, -3),), lower=(NEG_INF, 0), upper=(1, POS_INF))
+    for diffs, lower, upper, error in [
+        (((0, 1, True),), (0, 0), (1, 1), "difference bound True"),
+        (((0, 1, 2.0),), (0, 0), (1, 1), "difference bound 2.0"),
+        ((), (False, 0), (1, 1), "box bound False"),
+        ((), (0, 0), (1, 1.5), "box bound 1.5"),
+    ]:
+        with pytest.raises(ValueError, match=f"{error} is not an integer"):
+            DiffConstraintSystem(n=2, diffs=diffs, lower=lower, upper=upper)
+
+
+def test_witness_points_and_k_must_be_integers():
+    # a non-integer point is refused, not truncated: (-0.5,) * 4 was once
+    # read as 0 and certified by the zero witness
+    tp = enumerate_tree_pairs((2, 1), dimension=0)[0]
+    model = canonical_generators(tp)
+    assert model.n_coords == 4
+    with pytest.raises(ValueError, match=re.escape("x entry -0.5 is not an integer")):
+        monoid_saturation_witness(model, (-0.5,) * 4, 2)
+    with pytest.raises(ValueError, match=re.escape("x entry 1.7 is not an integer")):
+        build_witness_system(model, (1.7, 0, 0, 0))
+    with pytest.raises(ValueError, match="x entry True is not an integer"):
+        build_witness_system(model, (True, 0, 0, 0))
+    for k in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"k {k!r} is not an integer")):
+            monoid_saturation_witness(model, (-1, 0, 0, 0), k)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        monoid_saturation_witness(model, (-1, 0, 0, 0), 0)
 
 
 def _brute_force_feasible(system, radius=None):

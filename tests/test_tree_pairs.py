@@ -271,6 +271,56 @@ def test_type_one_bracketings_must_be_the_top_stratum(one, two):
         two_bracketing_to_tree_pair((1,), one, two)
 
 
+def _two(lines, *pairs):
+    return (fz(lines), fz(Mark(*mark) for mark in pairs))
+
+
+# the top strata of (1, 1) and (3,): the root 2-bracket and each mark's own
+TOP_11 = [_two({1, 2}, (1, 1), (2, 1)), _two({1}, (1, 1)), _two({2}, (2, 1))]
+TOP_3 = [_two({1}, (1, 1), (1, 2), (1, 3))] + [_two({1}, (1, i)) for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "n, one, two, error",
+    [
+        ((1, 1), [], TOP_11[1:], "missing root 2-bracket"),
+        # a 2-bracket without marks is adopted by none
+        ((1, 1), [], TOP_11 + [_two({1})], "has no parent"),
+        # two 2-brackets share the mark (1, 2), and neither holds the other
+        (
+            (3,),
+            [],
+            TOP_3 + [_two({1}, (1, 1), (1, 2)), _two({1}, (1, 2), (1, 3))],
+            "overlap",
+        ),
+        # the lines separate over {1, 2}, which the seam tree lacks
+        (
+            (1, 1, 1),
+            [],
+            [
+                _two({1, 2, 3}, (1, 1), (2, 1), (3, 1)),
+                _two({1, 2}, (1, 1), (2, 1)),
+                *(_two({i}, (i, 1)) for i in (1, 2, 3)),
+            ],
+            "has no seam-tree vertex",
+        ),
+        # the root splits, and a child screen over both lines fits no branch
+        ((1, 1), [], TOP_11 + [_two({1, 2}, (2, 1))], "does not fit any branch"),
+        # without the own 2-bracket of (1, 2) the root carries one object
+        ((2,), [], [_two({1}, (1, 1), (1, 2)), _two({1}, (1, 1))], "needs at least 2"),
+    ],
+    ids=["no-root", "no-parent", "overlap", "no-vertex", "no-branch", "invalid"],
+)
+def test_malformed_bracketings_are_refused(n, one, two, error):
+    with pytest.raises(ValueError, match=error):
+        two_bracketing_to_tree_pair(n, one, two)
+
+
+def test_the_malformed_bracketings_start_from_top_strata():
+    assert two_bracketing_to_tree_pair((1, 1), [], TOP_11) == top_tree_pair((1, 1))
+    assert two_bracketing_to_tree_pair((3,), [], TOP_3) == top_tree_pair((3,))
+
+
 def test_two_bracketing_bruteforce_matches_enumeration():
     """Independent oracle: filtering all candidate bracket families by the
     stratum axioms finds exactly the images of the enumerated tree pairs."""
@@ -339,6 +389,26 @@ def test_glue_identity_and_top():
             if ((1,) * k_q, (1,) * k_r) in local_poset_elements(tp):
                 glued = glue_tree_pair(tp, (1,) * k_q, (1,) * k_r)
                 assert glued == top_tree_pair(n)
+
+
+def test_glue_refuses_non_integer_data():
+    # a float or bool entry is refused, not truncated to a 0/1 point
+    tp = enumerate_tree_pairs((2, 1), dimension=0)[0]
+    assert _glue_shape(tp) == (4, 0)
+    q = (0, 1, 1, 0)
+    assert glue_tree_pair(tp, q, ()) != tp
+    for bad, entry in [
+        ((0.9, 1.9, 1.9, 0.9), "0.9"),
+        ((False, True, True, False), "False"),
+        ((0, 1, 1.0, 0), "1.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"q entry {entry} is not an integer"):
+            glue_tree_pair(tp, bad, ())
+    # and so is r, on a stratum with seam coordinates
+    tp = next(t for t in enumerate_tree_pairs((1, 1, 1), dimension=0) if _glue_shape(t)[1])
+    k_q, k_r = _glue_shape(tp)
+    with pytest.raises(ValueError, match="r entry 0.0 is not an integer"):
+        glue_tree_pair(tp, (0,) * k_q, (0.0,) * k_r)
 
 
 def test_glue_rejects_incoherent_data():
