@@ -26,9 +26,6 @@ from .tree_pairs import Component, TreePair, two_bracketing_to_tree_pair
 NEG_INF = -math.inf
 POS_INF = math.inf
 
-CoordKey = tuple  # ("comp", Component) or ("seam", frozenset)
-
-
 class IncidencePatternError(ValueError):
     """A generator matrix does not have the column-incidence shape needed
     to turn nonnegativity constraints into a difference-bound system."""
@@ -81,20 +78,6 @@ class LatticeModel:
     def diagonal(self) -> tuple[int, ...]:
         """:func:`_diagonal` of the generators."""
         return tuple(_diagonal(self.generators))
-
-
-def lattice_coordinates(tp: TreePair) -> list[CoordKey]:
-    """The coordinate keys in column order: non-root screens in walk
-    order, then non-root interior seam brackets in preorder."""
-    return _coordinates(tp, _screen_walk(tp)[0])
-
-
-def _coordinates(tp: TreePair, screens: Sequence[Component]) -> list[CoordKey]:
-    """:func:`lattice_coordinates` from the screens of the walk."""
-    coords: list[CoordKey] = [("comp", c) for c in screens[1:]]
-    # the root comes first in preorder
-    coords.extend(("seam", b) for b in tp.seam_tree.interior_vertices()[1:])
-    return coords
 
 
 def _screen_walk(tp: TreePair):
@@ -169,23 +152,24 @@ def _lattice_model(
     screens: Sequence[Component],
     relations: Iterable[tuple[Sequence[int], Sequence[int], frozenset | None]],
 ) -> LatticeModel:
-    """Write relations given by walk index as rows over the coordinates of
-    :func:`lattice_coordinates`: walk index i >= 1 is column i - 1, and the
-    seam brackets follow.
+    """Write relations given by walk index as rows over the lattice
+    coordinates: walk index i >= 1 is column i - 1, and the non-root
+    interior seam brackets follow in preorder.
 
     A relation (plus, minus, seam) counts the screens in plus once each,
     those in minus minus once each, and the seam bracket, when there is
     one, once.
     """
-    coords = _coordinates(tp, screens)
     k = len(screens) - 1
     # The root screen (walk index 0) has no column; None makes a root in a
     # relation fail instead of writing to another coordinate.
     screen_col = [None, *range(k)]
-    seam_col = {bracket: c for c, (_, bracket) in enumerate(coords[k:], k)}
+    # the root comes first in preorder
+    seam_col = {b: c for c, b in enumerate(tp.seam_tree.interior_vertices()[1:], k)}
+    n_coords = k + len(seam_col)
     rows = []
     for plus, minus, seam in relations:
-        vec = [0] * len(coords)
+        vec = [0] * n_coords
         for i in plus:
             vec[screen_col[i]] += 1
         for i in minus:

@@ -4,7 +4,9 @@ A stable tree on leaves {1..r} is stored as its bracketing: the laminar family
 of leaf sets of all vertices.  The family always contains the full set and all
 singletons; every interior vertex automatically has at least two children
 (laminarity plus the singletons force this), so any laminar family containing
-the required elements is a valid tree.
+the required elements is a valid tree.  One pass over the family, on
+construction, checks that it is laminar and builds the parent map and child
+lists.
 
 Trees serialize as nested lists ([1, [2, 3]] is the tree where leaves 2 and 3
 share a vertex); children are ordered by smallest leaf everywhere, making the
@@ -37,22 +39,17 @@ Bracket = frozenset[int]
 Nested = Union[int, tuple["Nested", ...]]
 
 
-def _check_laminar(brackets: Iterable[Bracket]) -> None:
-    bs = sorted(brackets, key=len)
-    for i, a in enumerate(bs):
-        for b in bs[i + 1 :]:
-            if not (a <= b or a.isdisjoint(b)):
-                raise ValueError(f"brackets {sorted(a)} and {sorted(b)} overlap")
-
-
-_Structure = tuple[dict[Bracket, Bracket], dict[Bracket, tuple[Bracket, ...]]]
-
-
-def _build_structure(r: int, brackets: frozenset[Bracket]) -> _Structure:
-    """One pass over a laminar family, smallest brackets first: each bracket
-    adopts the largest vertices so far below its leaves, which are its
-    children (brackets of equal size are disjoint).  The vertices stored are
-    the family's own bracket objects, so the tree holds no second copy."""
+def _build_structure(
+    brackets: frozenset[Bracket],
+) -> tuple[dict[Bracket, Bracket], dict[Bracket, tuple[Bracket, ...]]]:
+    """Check the family and build its tree in one pass, smallest brackets
+    first: each bracket adopts the largest vertices so far below its leaves,
+    which are its children, and must strictly contain each of them.  A vertex
+    it does not contain overlaps it, and every overlap shows here: the vertex
+    adopted through a shared leaf contains the smaller bracket of the pair.
+    Returns the parent of every non-root vertex and the children of every
+    interior vertex, ordered by smallest leaf and keyed in preorder; the
+    vertices stored are the family's own bracket objects."""
     top = {leaf: b for b in brackets if len(b) == 1 for leaf in b}
     parents: dict[Bracket, Bracket] = {}
     below: dict[Bracket, tuple[Bracket, ...]] = {}
@@ -63,6 +60,8 @@ def _build_structure(r: int, brackets: frozenset[Bracket]) -> _Structure:
         for leaf in sorted(b):
             child = top[leaf]
             if child not in parents:
+                if not child < b:
+                    raise ValueError(f"brackets {sorted(child)} and {sorted(b)} overlap")
                 parents[child] = b
                 kids.append(child)
             top[leaf] = b
@@ -82,11 +81,11 @@ def _build_structure(r: int, brackets: frozenset[Bracket]) -> _Structure:
 class StableTree:
     """Rooted tree on leaves {1..r}, every interior vertex with >= 2 children.
 
-    The parent map and child lists are derived from the brackets once, on
-    the first structural query, and stored with the tree.
+    One pass over the brackets, on construction, checks that they are
+    laminar and builds the parent map and child lists stored with the tree.
     """
 
-    __slots__ = ("r", "brackets", "_structure")
+    __slots__ = ("r", "brackets", "_parents", "_children")
 
     def __init__(self, r: int, brackets: Iterable[Bracket]):
         r = line_count(r)
@@ -99,20 +98,10 @@ class StableTree:
         for b in bs:
             if not b or not b <= full:
                 raise ValueError(f"bracket {sorted(b)} out of range for r={r}")
-        _check_laminar(bs)
         self.brackets: frozenset[Bracket] = frozenset(bs)
-        self._structure: _Structure | None = None
+        self._parents, self._children = _build_structure(self.brackets)
 
     # -- structure ----------------------------------------------------
-
-    def _built(self) -> _Structure:
-        """(parents, children): the parent of every non-root vertex, and the
-        children of every interior vertex, ordered by smallest leaf, keyed
-        in preorder."""
-        structure = self._structure
-        if structure is None:
-            structure = self._structure = _build_structure(self.r, self.brackets)
-        return structure
 
     @property
     def root(self) -> Bracket:
@@ -120,11 +109,11 @@ class StableTree:
 
     def interior_vertices(self) -> list[Bracket]:
         """Non-leaf vertices, root first, in preorder."""
-        return list(self._built()[1])
+        return list(self._children)
 
     def children(self, b: Bracket) -> tuple[Bracket, ...]:
         """Child vertices of b, ordered by smallest leaf."""
-        out = self._built()[1].get(b)
+        out = self._children.get(b)
         if out is not None:
             return out
         if b not in self.brackets:
@@ -133,7 +122,7 @@ class StableTree:
 
     def parent(self, b: Bracket) -> Bracket:
         """Parent vertex of b; the root has none."""
-        out = self._built()[0].get(b)
+        out = self._parents.get(b)
         if out is not None:
             return out
         if b not in self.brackets:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import io
 import json
 import os
 import subprocess
@@ -609,6 +610,43 @@ def test_malformed_specs_are_errors(command, spec, error, tmp_path, capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_transition_check_without_samples_fails(fmt, tmp_path, capsys):
+    # no sample verified: the report is printed, then the refusal
+    spec = tmp_path / "transition.json"
+    spec.write_text(json.dumps(TRANSITION_SPEC))
+    assert run(["transition-check", str(spec), "--samples", "0", "--format", fmt]) == 1
+    out, err = out_of(capsys)
+    if fmt == "json":
+        assert out == '{\n  "samples": 0,\n  "skipped": 0,\n  "verified": 0\n}\n'
+    else:
+        assert out == "verified 0/0 samples (0 skipped)\n"
+    assert err == "error: no sample verified; the charts do not overlap here\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, expected",
+    [
+        (["chart-eval", "-"], json.dumps(CHART_SPEC), "screen 1-2-3-4: 0, 1, 1/2, 2/3\n"),
+        (
+            ["transition-check", "-", "--samples", "20", "--seed", "0"],
+            TRANSITION_8.read_text(),
+            "verified 6/20 samples (14 skipped)\n",
+        ),
+    ],
+    ids=["chart-eval", "transition-check"],
+)
+def test_specs_read_from_stdin(argv, text, expected, tmp_path, monkeypatch, capsys):
+    # `-` reads the spec from stdin, with the same output as the file
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run([argv[0], str(spec), *argv[2:]]) == 0
+    assert out_of(capsys) == (expected, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(argv) == 0
+    assert out_of(capsys) == (expected, "")
 
 
 def test_missing_spec_file(capsys):

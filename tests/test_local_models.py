@@ -27,7 +27,6 @@ from linestrata.local_models import (
     build_witness_system,
     canonical_generators,
     coherence_generators,
-    lattice_coordinates,
     lattice_is_saturated,
     lattice_span_equal,
     local_poset_elements,
@@ -145,9 +144,13 @@ def fixture_seam():
 
 def paper_model(family, tp, coords, names):
     """family(tp) with its columns in the paper's order: coords, a
-    permutation of lattice_coordinates(tp), named by names."""
+    permutation of the model's column keys (the non-root screens in walk
+    order, then the non-root interior seam brackets in preorder), named by
+    names."""
     model = family(tp)
-    position = {key: c for c, key in enumerate(lattice_coordinates(tp))}
+    keys = [("comp", c) for c in _screen_walk(tp)[0][1:]]
+    keys.extend(("seam", b) for b in tp.seam_tree.interior_vertices()[1:])
+    position = {key: c for c, key in enumerate(keys)}
     source = [position[key] for key in coords]
     assert sorted(source) == list(range(model.n_coords))
     return LatticeModel(
@@ -328,14 +331,12 @@ def test_default_order_models_are_pinned():
 
 
 def test_default_coordinates_cover_everything():
+    # four screen columns, then one seam column
     tp, _, _ = fixture_seam()
-    coords = lattice_coordinates(tp)
-    kinds = [k for k, _ in coords]
-    assert kinds.count("comp") == 4
-    assert kinds.count("seam") == 1
     model = canonical_generators(tp)
     assert model.n_coords == 5
-    assert len(model.names) == 5
+    assert model.names == ("a1", "a2", "a3", "a4", "b1-2")
+    assert model.seam_columns == fz({4})
 
 
 def test_saturation_is_unimodular_invariant():

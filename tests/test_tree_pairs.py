@@ -15,7 +15,6 @@ import linestrata
 from linestrata.local_models import (
     coherence_generators,
     glue_tree_pair,
-    lattice_coordinates,
     local_poset_elements,
     model_defining_relations,
 )
@@ -377,8 +376,7 @@ def test_local_poset_sizes():
 def _glue_shape(tp):
     """The lengths of a gluing's q and r: the stratum's screen and seam
     coordinates."""
-    kinds = [kind for kind, _ in lattice_coordinates(tp)]
-    return kinds.count("comp"), kinds.count("seam")
+    return len(tp.components()) - 1, len(tp.seam_tree.interior_vertices()) - 1
 
 
 def test_glue_identity_and_top():

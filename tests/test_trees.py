@@ -1,9 +1,17 @@
 """Tests for stable trees: laminar families, poset, enumeration, gluing."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from linestrata.tree_pairs import (
+    top_tree_pair,
+    tree_pair_to_two_bracketing,
+    two_bracketing_to_tree_pair,
+)
 from linestrata.trees import (
     StableTree,
     enumerate_stable_trees,
@@ -56,6 +64,44 @@ def test_invalid_families_rejected():
     assert StableTree(3, [fz({1, 2})]) == StableTree(
         3, [fz({1, 2, 3}), fz({1, 2}), fz({1}), fz({2}), fz({3})]
     )
+
+
+families = st.integers(1, 6).flatmap(
+    lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.frozensets(st.integers(1, r), min_size=1), max_size=8),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+@example((3, [fz({1, 2}), fz({2, 3})]))
+@example((4, [fz({1, 2}), fz({1, 2, 3}), fz({3, 4})]))
+def test_overlapping_families_refused(case):
+    # independent oracle: a pair of brackets overlaps when neither holds
+    # the other and they meet; the refusal must name such a pair
+    r, family = case
+    overlapping = {
+        (a, b) for a in family for b in family if a & b and not (a <= b or b <= a)
+    }
+    if not overlapping:
+        tree = StableTree(r, family)
+        assert tree.brackets == {*family, tree.root, *(fz({i}) for i in range(1, r + 1))}
+        return
+    with pytest.raises(ValueError) as info:
+        StableTree(r, family)
+    named = re.fullmatch(r"brackets (\[.*\]) and (\[.*\]) overlap", str(info.value))
+    assert named is not None, str(info.value)
+    a, b = (fz(int(x) for x in g.strip("[]").split(", ")) for g in named.groups())
+    assert (a, b) in overlapping
+
+
+def test_two_bracketing_refuses_overlapping_line_brackets():
+    n = (1, 1, 1, 1)
+    _, two_brackets = tree_pair_to_two_bracketing(top_tree_pair(n))
+    with pytest.raises(ValueError, match=r"brackets \[1, 2\] and \[2, 3, 4\] overlap"):
+        two_bracketing_to_tree_pair(n, [fz({1, 2}), fz({2, 3, 4})], two_brackets)
 
 
 def test_nested_round_trip():
