@@ -394,6 +394,8 @@ def _root_pins(
 ) -> tuple[int, int]:
     """The 0-based leaves that the root's slice pins at 0 and 1: the
     anchors of its two slice children."""
+    if tree.r < 2:  # the root is then a leaf, with no screen to pin
+        raise ValueError(f"a chart needs at least two leaves, got {tree.r}")
     s0, s1 = slices[tree.root]
     return _anchor_leaf(tree, slices, s0) - 1, _anchor_leaf(tree, slices, s1) - 1
 
@@ -483,6 +485,8 @@ def transition_check(
     re-glue, and demand exact agreement.  Samples falling outside either
     domain (or on a boundary) are skipped and counted.
     """
+    if samples < 0:
+        raise ValueError(f"the sample count must be nonnegative, got {samples}")
     if tree1.r != tree2.r:
         raise ValueError("charts live on different moduli (leaf counts differ)")
     curve1 = pinned_curve(tree1, slices1)

@@ -10,7 +10,6 @@ it runs no other module of the package.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -195,11 +194,11 @@ def _cmd_vpp_table(args: argparse.Namespace) -> int:
 
 
 def _check_one_model(
-    packed: tuple[TreePair, int, int, int]
-) -> tuple[int, str | None, int, int]:
-    """Worker: all local-model checks for one 0-dimensional stratum, the
-    index-th of its type.  Returns (index, failure message or None, number
-    of coordinates, number of generators)."""
+    tp: TreePair, index: int, trials: int, seed: int
+) -> tuple[str | None, int, int]:
+    """All local-model checks for one 0-dimensional stratum, the index-th
+    of its type.  Returns (failure message or None, number of coordinates,
+    number of generators)."""
     from .local_models import (
         canonical_generators,
         coherence_generators,
@@ -208,21 +207,16 @@ def _check_one_model(
         monoid_saturation_witness,
     )
 
-    tp, index, trials, seed = packed
     model = canonical_generators(tp)
     shape = (model.n_coords, len(model.generators))
     try:
         model.incidence  # with the witness plan, kept for the witnesses
     except ValueError as exc:
-        return index, f"incidence pattern violated: {exc}", *shape
+        return f"incidence pattern violated: {exc}", *shape
     if not lattice_span_equal(model, coherence_generators(tp)):
-        return (
-            index,
-            "canonical generators do not span the coherence lattice",
-            *shape,
-        )
+        return "canonical generators do not span the coherence lattice", *shape
     if not lattice_is_saturated(model):
-        return index, "lattice is not saturated", *shape
+        return "lattice is not saturated", *shape
     rng = random.Random(seed * 1_000_003 + index)
     rows = model.generators
     width = model.n_coords
@@ -234,14 +228,8 @@ def _check_one_model(
         try:
             monoid_saturation_witness(model, tuple(base), rng.randint(2, 4))
         except (ValueError, AssertionError) as exc:
-            return index, f"witness failed on {tuple(base)}: {exc}", *shape
-    return index, None, *shape
-
-
-def _worker_count(jobs: int, cpus: int, models: int) -> int:
-    """Processes for checking `models` models: the requested --jobs,
-    clamped to the CPU count and to the number of models."""
-    return min(jobs, cpus, models)
+            return f"witness failed on {tuple(base)}: {exc}", *shape
+    return None, *shape
 
 
 def _cmd_check_local_model(args: argparse.Namespace) -> int:
@@ -268,26 +256,11 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
     if not models:
         print("no 0-dimensional strata")
         return 0
-    jobs = [(tp, i, args.trials, args.seed) for i, tp in enumerate(models)]
-    workers = _worker_count(args.jobs, os.cpu_count() or 1, len(models))
-    if workers > 1:
-        import multiprocessing  # here, to keep it off the start-up path
-
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            outcomes = pool.map(_check_one_model, jobs)
-    else:
-        outcomes = [_check_one_model(job) for job in jobs]
-    failures = 0
-    lines = []
-    for index, message, n_coords, n_generators in outcomes:
-        if message is None:
-            lines.append(
-                f"model {index}: ok ({n_coords} coords, "
-                f"{n_generators} generators)"
-            )
-        else:
-            failures += 1
-            lines.append(f"model {index}: FAIL - {message}")
+    outcomes = [
+        _check_one_model(tp, index, args.trials, args.seed)
+        for index, tp in enumerate(models)
+    ]
+    failures = sum(message is not None for message, _, _ in outcomes)
     if args.format == "json":
         _emit_json(
             {
@@ -296,13 +269,19 @@ def _cmd_check_local_model(args: argparse.Namespace) -> int:
                 "failures": failures,
                 "results": [
                     {"model": i, "ok": m is None, "message": m}
-                    for i, m, _, _ in outcomes
+                    for i, (m, _, _) in enumerate(outcomes)
                 ],
             }
         )
     else:
-        for line in lines:
-            print(line)
+        for index, (message, n_coords, n_generators) in enumerate(outcomes):
+            if message is None:
+                print(
+                    f"model {index}: ok ({n_coords} coords, "
+                    f"{n_generators} generators)"
+                )
+            else:
+                print(f"model {index}: FAIL - {message}")
         verdict = "all ok" if failures == 0 else f"{failures} failure(s)"
         print(f"checked {len(models)} models: {verdict}")
     return 0 if failures == 0 else 1
@@ -449,12 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--trials", type=_int_at_least(0), default=20, help="witness trials per model"
-    )
-    p.add_argument(
-        "--jobs",
-        type=_int_at_least(1),
-        default=1,
-        help="parallel workers, at most one per CPU and per model (default 1)",
     )
     p.set_defaults(func=_cmd_check_local_model)
 

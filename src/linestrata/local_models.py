@@ -10,6 +10,16 @@ A model's generators are one integer matrix, checked once and read as it
 is.  Spans and saturation come from one integer diagonalisation; one pass
 over the columns checks the incidence pattern and yields the witness plan,
 whose difference-constraint systems certify nonnegative representatives.
+
+The incidence pattern alone makes each model's monoid saturated.  For a
+matrix of that shape, "x + sum(b[r] * g[r]) >= 0" is a system of box bounds
+and differences of the sign-adjusted coefficients with integer right-hand
+sides: an incidence matrix of a directed graph plus identity rows, which is
+totally unimodular.  Such a system has an integer solution whenever it has
+a rational one (Hoffman-Kruskal 1956; Schrijver 1986, ch. 19).  If k * x
+has an integer witness b, then b / k is a rational witness for x, so x has
+an integer one.  The sampled witnesses of ``check-local-model`` confirm
+this; they do not decide it.
 """
 
 from __future__ import annotations

@@ -290,15 +290,15 @@ def _digits(value: int, bits: int) -> list[int]:
     return digits
 
 
-def _evaluate(jobs: Sequence[tuple[int, tuple[Vector, ...]]], slope: int) -> list[list[int]]:
+def _evaluate(fibers: Sequence[tuple[int, tuple[Vector, ...]]], slope: int) -> list[list[int]]:
     """The q-coefficients, lowest first, of the fiber products
-    ``_fiber(r, factors)`` named by jobs, computed in the integer ring of the
+    ``_fiber(r, factors)`` named by fibers, computed in the integer ring of the
     given slope (1: polynomials, 0: stratum counts by dimension) at one radix
     wide enough for all of them, certified by the bounds carried along."""
     bits = _radix_bits(0)
     for rerun in (False, True):
         ring = _bounded_ring(bits, slope)
-        values = [_fiber(ring, r, factors) for r, factors in jobs]
+        values = [_fiber(ring, r, factors) for r, factors in fibers]
         # the bounds do not depend on the radix: N is exact in every pass
         bound = max(v.bound for v in values)
         if not bound >> (bits - 1):

@@ -215,6 +215,12 @@ def test_invert_chart_requires_binary_tree():
         pinned_curve(top_tree(4), slices)
 
 
+def test_one_leaf_chart_is_refused():
+    # a one-leaf tree has no screen, so no root slice to pin a frame
+    with pytest.raises(ValueError, match="a chart needs at least two leaves, got 1"):
+        invert_chart(StableTree.from_nested(1), {}, [0])
+
+
 def test_invert_chart_round_trip_all_binary_trees():
     rng = random.Random(11)
     checked = 0
@@ -335,6 +341,13 @@ def test_transition_check_report():
     same = transition_check(tree1, slices1, tree1, slices1, samples=40, seed=3)
     assert same.verified + same.skipped == 40
     assert same.verified >= 20
+
+
+def test_transition_check_refuses_a_negative_sample_count():
+    tree1, slices1 = left_comb()
+    tree2, slices2 = right_comb()
+    with pytest.raises(ValueError, match="sample count must be nonnegative, got -5"):
+        transition_check(tree1, slices1, tree2, slices2, samples=-5)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 
 import linestrata
 import linestrata.cli
-from linestrata.cli import _worker_count, run
+from linestrata.cli import run
 
 SRC = str(Path(linestrata.__file__).resolve().parents[1])
 
@@ -112,7 +112,9 @@ def test_usage_errors(tmp_path):
     for argv in (
         ["vpp", "1,x"],
         ["no-such-command"],
+        # check-local-model runs in one process and takes no --jobs
         ["check-local-model", "2,1", "--jobs", "0"],
+        ["check-local-model", "2,1", "--jobs", "2"],
         ["vpp-table", "-1"],
         ["check-local-model", "1", "--trials", "-3"],
         ["transition-check", "-", "--samples", "-5"],
@@ -182,23 +184,6 @@ def test_check_local_model_refuses_too_many_strata(n, strata, monkeypatch, capsy
     assert out == ""
     assert err.startswith(f"error: {strata} strata exceed the bound")
     assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("fmt", ["pretty", "json"])
-def test_check_local_model_jobs_do_not_change_output(fmt, capsys):
-    argv = ["check-local-model", "2,1", "--trials", "3", "--format", fmt]
-    assert run(argv + ["--jobs", "1"]) == 0
-    serial, _ = out_of(capsys)
-    assert run(argv + ["--jobs", "2"]) == 0
-    parallel, _ = out_of(capsys)
-    assert parallel == serial
-
-
-def test_worker_count_is_clamped():
-    assert _worker_count(1, 8, 84) == 1
-    assert _worker_count(4, 8, 84) == 4
-    assert _worker_count(64, 2, 84) == 2  # no more processes than CPUs
-    assert _worker_count(8, 16, 3) == 3  # no more processes than models
 
 
 def test_check_survives_optimize_flag():
@@ -600,6 +585,13 @@ def _with(spec: dict, key: str, value, entry: str | None = None) -> dict:
             % (CATERPILLAR, CATERPILLAR),
             "cannot read transition spec: maximum recursion depth exceeded",
             id="transition-check-caterpillar",
+        ),
+        # a one-leaf tree has no screen to pin
+        pytest.param(
+            "transition-check",
+            {"tree1": 1, "tree2": 1, "slices1": {}, "slices2": {}},
+            "transition check failed: a chart needs at least two leaves, got 1",
+            id="transition-check-one-leaf",
         ),
     ],
 )

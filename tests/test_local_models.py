@@ -11,8 +11,11 @@ pattern.  Each fixture also gives the paper's column order and names, which
 import math
 import random
 import re
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linestrata.local_models import (
     NEG_INF,
@@ -420,6 +423,106 @@ def test_incidence_pattern_violations(generators, seam_columns, error):
     model = LatticeModel(names, generators, frozenset(seam_columns))
     with pytest.raises(IncidencePatternError, match=re.escape(error)):
         model.incidence
+
+
+@st.composite
+def incidence_models(draw):
+    """A LatticeModel of at most 3 rows and 7 columns, built column by column
+    in the shape `_incidence` accepts: a row with a seam column carries +1
+    there and is negated; every other column is untouched, touched by one
+    row with sign-adjusted entry +-1, or touched by two rows with adjusted
+    entries (+1, -1).  The columns are then shuffled."""
+    m = draw(st.integers(1, 3))
+    seamed = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    signs = [-1 if s else 1 for s in seamed]
+    columns, seam = [], []
+    for row in range(m):
+        if seamed[row]:
+            seam.append(len(columns))
+            columns.append([int(r == row) for r in range(m)])
+    for _ in range(draw(st.integers(0, 4))):
+        column = [0] * m
+        touching = draw(st.integers(0, min(2, m)))
+        if touching == 1:
+            row = draw(st.integers(0, m - 1))
+            column[row] = draw(st.sampled_from((1, -1))) * signs[row]
+        elif touching == 2:
+            r1 = draw(st.integers(0, m - 2))
+            r2 = draw(st.integers(r1 + 1, m - 1))
+            column[r1], column[r2] = signs[r1], -signs[r2]
+        columns.append(column)
+    order = draw(st.permutations(range(len(columns))))
+    model = LatticeModel(
+        tuple(f"c{i}" for i in range(len(columns))),
+        tuple(tuple(columns[c][row] for c in order) for row in range(m)),
+        frozenset(order.index(c) for c in seam),
+    )
+    model.incidence  # raises if the strategy strays from the accepted shape
+    return model
+
+
+def _moved(model, x, coefficients):
+    """x + sum(b[r] * generator[r]), over the first len(b) generators."""
+    return [
+        v + sum(b * gen[col] for b, gen in zip(coefficients, model.generators))
+        for col, v in enumerate(x)
+    ]
+
+
+def _representable(model, x, radius):
+    """Whether x + sum(b[r] * generator[r]) >= 0 for some integer b in the
+    box |b[r]| <= radius: every choice of all but the last coefficient is
+    enumerated, and the columns cut the last one down to an interval."""
+    last = model.generators[-1]
+    for prefix in product(range(-radius, radius + 1), repeat=len(model.generators) - 1):
+        low, high = -radius, radius
+        for v, entry in zip(_moved(model, x, prefix), last):
+            if entry > 0:
+                low = max(low, -(v // entry))
+            elif entry < 0:
+                high = min(high, v // -entry)
+            elif v < 0:
+                break
+        else:
+            if low <= high:
+                return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(incidence_models(), st.data())
+def test_incidence_pattern_implies_monoid_saturation(model, data):
+    """k*x representable implies x representable, for every model that
+    passes `_incidence`: the system "x + sum(b[r] * g[r]) >= 0" is then box
+    bounds and differences on the sign-adjusted coefficients, a totally
+    unimodular system (Hoffman-Kruskal), so the rational witness b/k of x
+    rounds to an integer one.  (The converse takes the witness k*b.)
+
+    The box is large enough.  Write u_0 = 0 and u_r for the adjusted
+    coefficients.  An untouched column asks x_c >= 0; every other column is
+    one constraint u_j - u_i <= x_c between two of these m + 1 nodes.  If
+    the system is feasible, shortest-path distances d from a source joined
+    to every node by a 0-weight edge solve it, and a shortest path crosses
+    at most m edges of weight >= -max|x|, so -m * max|x| <= d <= 0.
+    Shifting every u by d(0) keeps every difference and puts u_0 back at 0,
+    so u_r = d(r) - d(0) is a solution within m * max|x| of 0; for k*x, the
+    bound is k times as large."""
+    m = len(model.generators)
+    k = data.draw(st.integers(2, 4), label="k")
+    # y plus a combination of the generators, so that both outcomes occur
+    width = model.n_coords
+    y = data.draw(st.lists(st.integers(-1, 1), min_size=width, max_size=width))
+    c = data.draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m))
+    x = tuple(_moved(model, y, c))
+    reach = max(map(abs, x), default=0) * m
+    scaled = _representable(model, tuple(k * v for v in x), k * reach)
+    assert _representable(model, x, reach) == scaled
+    if not scaled:
+        with pytest.raises(ValueError, match="precondition failed"):
+            monoid_saturation_witness(model, x, k)
+        return
+    witness = monoid_saturation_witness(model, x, k)
+    assert min(_moved(model, x, witness), default=0) >= 0
 
 
 def sweep_types(limit):
